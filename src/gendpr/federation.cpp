@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -17,8 +18,7 @@
 #include "net/epoll_hub.hpp"
 #include "net/event_loop.hpp"
 #include "net/hub.hpp"
-#include "net/network.hpp"
-#include "net/uring_hub.hpp"
+#include "net/mem_hub.hpp"
 #include "tee/attestation.hpp"
 #include "wire/buffer_pool.hpp"
 
@@ -34,9 +34,6 @@ FederationSpec::TransportMode transport_mode_of(const FederationSpec& spec) {
   if (env != nullptr) {
     if (std::strcmp(env, "epoll") == 0) {
       return FederationSpec::TransportMode::epoll;
-    }
-    if (std::strcmp(env, "uring") == 0) {
-      return FederationSpec::TransportMode::uring;
     }
     if (std::strcmp(env, "in_process") == 0) {
       return FederationSpec::TransportMode::in_process;
@@ -73,30 +70,51 @@ std::size_t loop_index_of(std::uint32_t gdo, std::size_t num_loops) {
   return static_cast<std::size_t>(mixed % num_loops);
 }
 
-/// Creates the hub flavor for `transport` (epoll or uring) on `loop`.
-Result<std::unique_ptr<net::Hub>> make_hub(FederationSpec::TransportMode mode,
-                                           net::EventLoop& loop,
-                                           net::NodeId node) {
-  if (mode == FederationSpec::TransportMode::uring) {
-    auto hub = net::UringHub::create(loop, node, 0);
-    if (!hub.ok()) return hub.error();
-    return std::unique_ptr<net::Hub>(std::move(hub).take());
+/// One hub per GDO, indexed by GDO, wired into the star the protocol
+/// assumes: members talk only to the leader. In-memory hubs are linked
+/// directly; socket hubs listen on an ephemeral loopback port and every
+/// member dials the leader (frames sent before the dial completes are
+/// buffered by the hub).
+Result<std::vector<std::unique_ptr<net::Hub>>> make_star(
+    FederationSpec::TransportMode transport,
+    const std::function<net::EventLoop&(std::uint32_t)>& loop_of,
+    std::uint32_t num_gdos, std::uint32_t leader_gdo) {
+  std::vector<std::unique_ptr<net::Hub>> hubs(num_gdos);
+  if (transport == FederationSpec::TransportMode::in_process) {
+    std::vector<net::MemHub*> mem(num_gdos);
+    for (std::uint32_t g = 0; g < num_gdos; ++g) {
+      auto hub = std::make_unique<net::MemHub>(loop_of(g), node_id_of(g));
+      mem[g] = hub.get();
+      hubs[g] = std::move(hub);
+    }
+    for (std::uint32_t g = 0; g < num_gdos; ++g) {
+      if (g != leader_gdo) net::MemHub::link(*mem[leader_gdo], *mem[g]);
+    }
+    return hubs;
   }
-  auto hub = net::EpollHub::create(loop, node, 0);
-  if (!hub.ok()) return hub.error();
-  return std::unique_ptr<net::Hub>(std::move(hub).take());
+  std::vector<net::EpollHub*> sockets(num_gdos);
+  for (std::uint32_t g = 0; g < num_gdos; ++g) {
+    auto hub = net::EpollHub::create(loop_of(g), node_id_of(g), 0);
+    if (!hub.ok()) return hub.error();
+    sockets[g] = hub.value().get();
+    hubs[g] = std::move(hub).take();
+  }
+  for (std::uint32_t g = 0; g < num_gdos; ++g) {
+    if (g == leader_gdo) continue;
+    sockets[g]->connect_peer(node_id_of(leader_gdo), "127.0.0.1",
+                             sockets[leader_gdo]->port());
+  }
+  return hubs;
 }
 
-/// Runs the whole federation as sans-IO sessions on event-loop threads: one
-/// hub (epoll- or io_uring-backed) per GDO on loopback TCP (members dial
-/// the leader — the star topology the protocol already assumes), one
-/// EpollSessionDriver per session, sessions sharded across
-/// `spec.event_loops` EventLoops by a stable hash of the GDO index. With
-/// one loop everything runs on the calling thread (the classic PR 8 mode);
-/// with more, each loop gets its own thread and cross-loop work travels
-/// only through EventLoop::post. Fills `member_compute_ms` for the
-/// distributed-wall-time model.
-Result<StudyResult> run_event_loop_federation(
+/// Runs the whole federation as sans-IO sessions on event loops: one hub
+/// per GDO (see make_star), one SessionDriver per session. `in_process`
+/// gives every GDO its own loop; `epoll` shards the sessions across
+/// `spec.event_loops` loops by a stable hash of the GDO index. The leader's
+/// loop runs on the calling thread and every other loop on its own thread;
+/// cross-loop work travels only through EventLoop::post. Fills
+/// `member_compute_ms` for the distributed-wall-time model.
+Result<StudyResult> run_sessions(
     const genome::Cohort& cohort, const FederationSpec& spec,
     FederationSpec::TransportMode transport,
     std::vector<std::unique_ptr<tee::Platform>>& platforms,
@@ -105,15 +123,23 @@ Result<StudyResult> run_event_loop_federation(
     const StudyAnnounce& announce, common::ThreadPool* pool,
     obs::SpanId study_span, std::chrono::milliseconds receive_timeout,
     std::vector<double>& member_compute_ms) {
-  if (transport == FederationSpec::TransportMode::uring &&
-      !net::UringHub::available()) {
-    common::log_warn("federation",
-                     "io_uring unavailable on this kernel; falling back to "
-                     "the epoll transport");
-    transport = FederationSpec::TransportMode::epoll;
-  }
-  const std::size_t num_loops = std::max<std::size_t>(
-      1, std::min<std::size_t>(event_loops_of(spec), spec.num_gdos));
+  const bool in_memory =
+      transport == FederationSpec::TransportMode::in_process;
+  const std::size_t num_loops =
+      in_memory ? spec.num_gdos
+                : std::max<std::size_t>(
+                      1, std::min<std::size_t>(event_loops_of(spec),
+                                               spec.num_gdos));
+  const auto loop_index = [&](std::uint32_t gdo) -> std::size_t {
+    return in_memory ? gdo : loop_index_of(gdo, num_loops);
+  };
+
+  // One buffer pool for the whole run: sessions serialize records into it,
+  // hubs return frame storage to it once delivered. It is thread-safe, so
+  // sessions on different loops share it freely. Declared before the loops
+  // so it outlives them: a delivery still queued on a loop at teardown
+  // holds a pooled buffer.
+  wire::BufferPool run_pool;
 
   std::vector<std::unique_ptr<net::EventLoop>> loops;
   loops.reserve(num_loops);
@@ -125,23 +151,16 @@ Result<StudyResult> run_event_loop_federation(
     }
   }
   const auto loop_of = [&](std::uint32_t gdo) -> net::EventLoop& {
-    return *loops[loop_index_of(gdo, num_loops)];
+    return *loops[loop_index(gdo)];
   };
-
-  // One buffer pool for the whole run: sessions serialize records into it,
-  // hubs return queued frame storage to it after the kernel writes. It is
-  // thread-safe, so sessions sharded across loops share it freely, and it
-  // must outlive every hub and session below.
-  wire::BufferPool run_pool;
 
   // All loop-owned objects (hubs, sessions, drivers) are built and wired on
   // this thread BEFORE any loop thread starts; thread creation publishes
   // them. After that, each object is touched only by its loop's thread.
-  auto leader_hub_result =
-      make_hub(transport, loop_of(leader_gdo), node_id_of(leader_gdo));
-  if (!leader_hub_result.ok()) return leader_hub_result.error();
-  std::unique_ptr<net::Hub> leader_hub = std::move(leader_hub_result).take();
-  leader_hub->set_buffer_pool(&run_pool);
+  auto star = make_star(transport, loop_of, spec.num_gdos, leader_gdo);
+  if (!star.ok()) return star.error();
+  std::vector<std::unique_ptr<net::Hub>> hubs = std::move(star).take();
+  for (auto& hub : hubs) hub->set_buffer_pool(&run_pool);
 
   LeaderSession leader(*platforms[leader_gdo], leader_gdo, spec.num_gdos,
                        cohort.cases.slice_rows(ranges[leader_gdo].first,
@@ -153,15 +172,10 @@ Result<StudyResult> run_event_loop_federation(
   leader.set_wire_pool(&run_pool);
 
   std::vector<std::uint32_t> member_gdos;
-  std::vector<std::unique_ptr<net::Hub>> member_hubs;
   std::vector<std::unique_ptr<MemberSession>> members;
   for (std::uint32_t g = 0; g < spec.num_gdos; ++g) {
     if (g == leader_gdo) continue;
-    auto hub = make_hub(transport, loop_of(g), node_id_of(g));
-    if (!hub.ok()) return hub.error();
     member_gdos.push_back(g);
-    member_hubs.push_back(std::move(hub).take());
-    member_hubs.back()->set_buffer_pool(&run_pool);
     members.push_back(std::make_unique<MemberSession>(
         *platforms[g], g, leader_gdo,
         cohort.cases.slice_rows(ranges[g].first, ranges[g].second)));
@@ -178,12 +192,12 @@ Result<StudyResult> run_event_loop_federation(
     }
   }
 
-  EpollSessionDriver leader_driver(loop_of(leader_gdo), *leader_hub, leader);
-  std::vector<std::unique_ptr<EpollSessionDriver>> member_drivers;
+  SessionDriver leader_driver(loop_of(leader_gdo), *hubs[leader_gdo], leader);
+  std::vector<std::unique_ptr<SessionDriver>> member_drivers;
   member_drivers.reserve(members.size());
   for (std::size_t i = 0; i < members.size(); ++i) {
-    member_drivers.push_back(std::make_unique<EpollSessionDriver>(
-        loop_of(member_gdos[i]), *member_hubs[i], *members[i]));
+    member_drivers.push_back(std::make_unique<SessionDriver>(
+        loop_of(member_gdos[i]), *hubs[member_gdos[i]], *members[i]));
   }
 
   // Completion accounting that works across loop threads: every driver's
@@ -200,10 +214,10 @@ Result<StudyResult> run_event_loop_federation(
   };
 
   // When the leader fails, surviving members normally learn it from the
-  // abort notice; a member whose connection (or handshake) never came up
-  // would wait forever with no timeout configured. Give the notices half a
-  // second to flush, then force the stragglers' transports closed — each on
-  // its own loop thread, reached through post().
+  // abort notice; a member whose link (or handshake) never came up would
+  // wait forever with no timeout configured. Give the notices half a second
+  // to flush, then force the stragglers' transports closed — each on its
+  // own loop thread, reached through post().
   leader_driver.set_on_finished([&] {
     const bool leader_failed = !leader.status().ok();
     note_finished();
@@ -218,57 +232,59 @@ Result<StudyResult> run_event_loop_federation(
   });
   for (auto& driver : member_drivers) driver->set_on_finished(note_finished);
 
-  // Members first: their dials buffer the attestation handshakes, which
-  // flush as soon as the leader's listener accepts.
-  for (std::size_t i = 0; i < member_drivers.size(); ++i) {
-    member_hubs[i]->connect_peer(node_id_of(leader_gdo), "127.0.0.1",
-                                 leader_hub->port());
-    member_drivers[i]->start();
-  }
+  // Members first: their handshakes wait in the hubs until the leader's
+  // side of each link is up.
+  for (auto& driver : member_drivers) driver->start();
   leader_driver.start();
 
-  if (num_loops == 1) {
-    loops[0]->run_until(
-        [&] { return all_done.load(std::memory_order_acquire); });
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(num_loops);
-    for (std::size_t i = 0; i < num_loops; ++i) {
-      threads.emplace_back([&all_done, loop = loops[i].get()] {
-        // poll_once (not run_until): a loop whose sessions all finished
-        // still has nothing to tear down until every loop is done, and the
-        // bounded wait means even a lost wakeup cannot hang the join.
-        while (!all_done.load(std::memory_order_acquire)) {
-          loop->poll_once(std::chrono::milliseconds{100});
-        }
-      });
+  // The leader's loop runs on the calling thread, every other loop on a
+  // thread of its own. poll_once (not run_until): a loop whose sessions all
+  // finished still has nothing to tear down until every loop is done, and
+  // the bounded wait means even a lost wakeup cannot hang the join.
+  const auto poll_until_done = [&all_done](net::EventLoop& loop) {
+    while (!all_done.load(std::memory_order_acquire)) {
+      loop.poll_once(std::chrono::milliseconds{100});
     }
-    for (auto& thread : threads) thread.join();
+  };
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < num_loops; ++i) {
+    if (i == loop_index(leader_gdo)) continue;
+    threads.emplace_back(
+        [&poll_until_done, loop = loops[i].get()] { poll_until_done(*loop); });
   }
+  poll_until_done(loop_of(leader_gdo));
+  for (auto& thread : threads) thread.join();
 
-  // Loop threads are joined (or the single loop returned): session and hub
-  // state is safely readable from this thread again.
+  // Loop threads are joined: session and hub state is safely readable from
+  // this thread again.
   if (spec.obs != nullptr) {
     std::uint64_t pauses = 0;
     std::uint64_t resumes = 0;
     std::uint64_t stalled = leader_driver.stalled_flushes();
+    for (const auto& driver : member_drivers) {
+      stalled += driver->stalled_flushes();
+    }
     std::vector<std::uint64_t> loop_peaks(num_loops, 0);
-    const auto harvest = [&](std::uint32_t gdo, const net::Hub& hub) {
-      const net::Hub::BackpressureStats& bp = hub.backpressure();
+    // Zero-copy path accounting: pool behavior plus per-hub wire stats.
+    // copies_per_frame divides every payload copy the compatibility shims
+    // performed by the frames actually queued — 0.0 means the pooled path
+    // carried every data frame without an intermediate copy.
+    std::uint64_t frames_sent = 0;
+    std::uint64_t writev_batches = 0;
+    std::uint64_t dial_dropped = 0;
+    for (std::uint32_t g = 0; g < spec.num_gdos; ++g) {
+      const net::Hub::BackpressureStats& bp = hubs[g]->backpressure();
       pauses += bp.pauses;
       resumes += bp.resumes;
-      auto& peak = loop_peaks[loop_index_of(gdo, num_loops)];
+      auto& peak = loop_peaks[loop_index(g)];
       peak = std::max(peak, bp.peak_queued_bytes);
-    };
-    harvest(leader_gdo, *leader_hub);
-    for (std::size_t i = 0; i < member_hubs.size(); ++i) {
-      harvest(member_gdos[i], *member_hubs[i]);
-      stalled += member_drivers[i]->stalled_flushes();
+      const net::Hub::WireStats& ws = hubs[g]->wire_stats();
+      frames_sent += ws.frames_sent;
+      writev_batches += ws.writev_batches;
+      dial_dropped += ws.dial_dropped_frames;
     }
-    spec.obs->metrics.set_label(
-        "net.transport",
-        transport == FederationSpec::TransportMode::uring ? "uring"
-                                                          : "epoll");
+    spec.obs->metrics.set_label("net.transport",
+                                in_memory ? "in_process" : "epoll");
     spec.obs->metrics.set_gauge("net.event_loops",
                                 static_cast<double>(num_loops));
     spec.obs->metrics.add_counter("net.backpressure.pauses", pauses);
@@ -280,22 +296,6 @@ Result<StudyResult> run_event_loop_federation(
           "net.loop" + std::to_string(i) + ".peak_queued_bytes",
           static_cast<double>(loop_peaks[i]));
     }
-
-    // Zero-copy path accounting: pool behavior plus per-hub wire stats.
-    // copies_per_frame divides every payload copy the compatibility shims
-    // performed by the frames actually queued — 0.0 means the pooled path
-    // carried every data frame without an intermediate copy.
-    std::uint64_t frames_sent = 0;
-    std::uint64_t writev_batches = 0;
-    std::uint64_t dial_dropped = 0;
-    const auto harvest_wire = [&](const net::Hub& hub) {
-      const net::Hub::WireStats& ws = hub.wire_stats();
-      frames_sent += ws.frames_sent;
-      writev_batches += ws.writev_batches;
-      dial_dropped += ws.dial_dropped_frames;
-    };
-    harvest_wire(*leader_hub);
-    for (const auto& hub : member_hubs) harvest_wire(*hub);
     const wire::BufferPool::Stats pool_stats = run_pool.stats();
     spec.obs->metrics.add_counter("net.pool.hits", pool_stats.hits);
     spec.obs->metrics.add_counter("net.pool.misses", pool_stats.misses);
@@ -320,74 +320,16 @@ Result<StudyResult> run_event_loop_federation(
 
   StudyResult study = leader.result();
   // The leader hub terminates both directions of every link in the star, so
-  // its meter sees all protocol traffic — same vantage as a TCP leader.
-  study.network_bytes_total = leader_hub->meter().total_bytes();
+  // its meter sees all protocol traffic.
+  const net::TrafficMeter& meter = hubs[leader_gdo]->meter();
+  study.network_bytes_total = meter.total_bytes();
   study.leader_bytes_received =
-      leader_hub->meter().bytes_received_by(node_id_of(leader_gdo));
-  study.network_links = leader_hub->meter().snapshot();
+      meter.bytes_received_by(node_id_of(leader_gdo));
+  study.network_links = meter.snapshot();
   for (const auto& member : members) {
     member_compute_ms.push_back(member->compute_ms());
   }
   return study;
-}
-
-/// The classic thread-per-node fabric: MemberNode service threads plus the
-/// LeaderNode study on the caller's thread, over in-process mailboxes.
-Result<StudyResult> run_threaded_federation(
-    const genome::Cohort& cohort, const FederationSpec& spec,
-    std::vector<std::unique_ptr<tee::Platform>>& platforms,
-    std::uint32_t leader_gdo,
-    const std::vector<std::pair<std::size_t, std::size_t>>& ranges,
-    const StudyAnnounce& announce, common::ThreadPool* pool,
-    obs::SpanId study_span, std::chrono::milliseconds receive_timeout,
-    std::vector<double>& member_compute_ms) {
-  net::Network network;
-
-  LeaderNode leader(network, *platforms[leader_gdo], leader_gdo,
-                    spec.num_gdos,
-                    cohort.cases.slice_rows(ranges[leader_gdo].first,
-                                            ranges[leader_gdo].second),
-                    cohort.controls, announce);
-  leader.set_receive_timeout(receive_timeout);
-  leader.set_observability(spec.obs, study_span);
-
-  std::vector<std::unique_ptr<MemberNode>> members;
-  for (std::uint32_t g = 0; g < spec.num_gdos; ++g) {
-    if (g == leader_gdo) continue;
-    members.push_back(std::make_unique<MemberNode>(
-        network, *platforms[g], g, leader_gdo,
-        cohort.cases.slice_rows(ranges[g].first, ranges[g].second)));
-    members.back()->set_receive_timeout(receive_timeout);
-    members.back()->set_observability(spec.obs);
-    members.back()->set_pool(pool);
-  }
-  // A member that failed at construction (EPC limit) would never handshake
-  // and the leader would wait forever - surface the error up front.
-  for (const auto& member : members) {
-    if (!member->status().ok()) return member->status().error();
-  }
-  for (auto& member : members) member->start();
-
-  auto result = leader.run_study(pool);
-
-  if (!result.ok()) {
-    // Unblock members still waiting on their mailboxes before joining.
-    for (std::uint32_t g = 0; g < spec.num_gdos; ++g) {
-      if (g != leader_gdo) network.detach(node_id_of(g));
-    }
-  }
-  for (auto& member : members) member->join();
-  if (!result.ok()) return result;
-
-  // Surface any member-side failure (e.g. tampering detected) even when the
-  // leader finished: a correct run requires every node to have succeeded.
-  for (const auto& member : members) {
-    if (!member->status().ok()) return member->status().error();
-  }
-  for (const auto& member : members) {
-    member_compute_ms.push_back(member->compute_ms());
-  }
-  return result;
 }
 
 }  // namespace
@@ -454,17 +396,10 @@ Result<StudyResult> run_federated_study(const genome::Cohort& cohort,
   setup_span.end();
 
   std::vector<double> member_compute_ms;
-  const FederationSpec::TransportMode transport = transport_mode_of(spec);
-  auto result =
-      transport != FederationSpec::TransportMode::in_process
-          ? run_event_loop_federation(cohort, spec, transport, platforms,
-                                      leader_gdo, ranges, announce,
-                                      pool.get(), study_span.id(),
-                                      receive_timeout, member_compute_ms)
-          : run_threaded_federation(cohort, spec, platforms, leader_gdo,
-                                    ranges, announce, pool.get(),
-                                    study_span.id(), receive_timeout,
-                                    member_compute_ms);
+  auto result = run_sessions(cohort, spec, transport_mode_of(spec),
+                             platforms, leader_gdo, ranges, announce,
+                             pool.get(), study_span.id(), receive_timeout,
+                             member_compute_ms);
   if (spec.obs != nullptr && pool != nullptr) {
     spec.obs->metrics.add_counter("pool.tasks_completed",
                                   pool->tasks_completed());

@@ -1,37 +1,38 @@
-// One-call federation runner: wires up the network fabric, quoting
-// authority, per-GDO platforms and nodes, elects a leader, runs the study,
-// and tears everything down. This is the public entry point the examples,
-// integration tests, and benchmark harness build on.
+// One-call federation runner: wires up the quoting authority, per-GDO
+// platforms, hubs and sessions, elects a leader, runs the study on event
+// loops, and tears everything down. This is the public entry point the
+// examples, integration tests, and benchmark harness build on.
 #pragma once
 
 #include <cstdint>
 
 #include "common/error.hpp"
 #include "gendpr/config.hpp"
-#include "gendpr/node.hpp"
+#include "gendpr/session.hpp"
 #include "genome/cohort.hpp"
 #include "obs/observability.hpp"
 
 namespace gendpr::core {
 
 struct FederationSpec {
-  /// How the nodes talk to each other. `in_process` is the classic fabric:
-  /// one thread per node over net::Network mailboxes. `epoll` runs every
-  /// GDO as a sans-IO session on EpollHub sockets (loopback TCP) driven by
-  /// event loops — same sessions, same bytes, same results. `uring` is the
-  /// same wiring on io_uring-backed hubs (completion model), falling back
-  /// to epoll with a log line on kernels without io_uring. The
-  /// GENDPR_TRANSPORT environment variable ("epoll" / "uring" /
-  /// "in_process") overrides this field when set.
-  enum class TransportMode { in_process, epoll, uring };
+  /// The medium between the GDOs. Either way every GDO is a sans-IO session
+  /// driven by an event loop through the same SessionDriver; only the hub
+  /// differs. `in_process` links in-memory hubs (net::MemHub) and gives
+  /// each GDO its own loop thread. `epoll` runs every GDO on its own
+  /// loopback TCP socket (net::EpollHub), sharded across `event_loops`
+  /// loops. Same sessions, same bytes, same results. The GENDPR_TRANSPORT
+  /// environment variable ("in_process" / "epoll") overrides this field
+  /// when set.
+  enum class TransportMode { in_process, epoll };
   TransportMode transport = TransportMode::in_process;
 
-  /// Number of event-loop threads the epoll/uring transports shard their
-  /// sessions across (sessions are assigned by a stable hash of the GDO
-  /// index, so the placement — and every protocol byte — is independent of
-  /// thread timing). 1 = the classic single-loop mode, run on the calling
-  /// thread. Capped at the number of GDOs. The GENDPR_EVENT_LOOPS
-  /// environment variable overrides this field when set.
+  /// Number of event-loop threads the epoll transport shards its sessions
+  /// across (sessions are assigned by a stable hash of the GDO index, so
+  /// the placement — and every protocol byte — is independent of thread
+  /// timing). 1 = the classic single-loop mode, run on the calling thread.
+  /// Capped at the number of GDOs. The in_process transport ignores it and
+  /// runs one loop per GDO. The GENDPR_EVENT_LOOPS environment variable
+  /// overrides this field when set.
   std::uint32_t event_loops = 1;
 
   std::uint32_t num_gdos = 3;

@@ -114,6 +114,24 @@ void ProtocolSession::on_frame(std::uint32_t from_gdo,
   deliver_queued_frame();
 }
 
+void ProtocolSession::on_frame(std::uint32_t from_gdo, wire::WireBuffer frame,
+                               TimePoint now) {
+  if (wants_ != SessionWants::recv || !input_queue_.empty()) {
+    on_frame(from_gdo, frame.payload(), now);
+    return;
+  }
+  now_ = now;
+  // The event owns the frame: its storage goes back to the pool as soon as
+  // the protocol body drops the event, not when the transport's call
+  // returns (which may be after a whole phase of compute).
+  Event event;
+  event.kind = Event::Kind::frame;
+  event.from_gdo = from_gdo;
+  event.frame = std::move(frame);
+  event.payload = event.frame.payload();
+  deliver_event(std::move(event));
+}
+
 void ProtocolSession::deliver_queued_frame() {
   Event event;
   event.kind = Event::Kind::frame;
@@ -128,14 +146,14 @@ void ProtocolSession::on_tick(TimePoint now) {
   now_ = now;
   if (wants_ != SessionWants::recv) return;
   if (!wait_deadline_.has_value() || now < *wait_deadline_) return;
-  deliver_event(Event{Event::Kind::timeout, 0, {}, {}});
+  deliver_event(Event{Event::Kind::timeout, 0, {}, {}, {}});
 }
 
 void ProtocolSession::on_peer_lost(std::uint32_t gdo_index, TimePoint now) {
   now_ = now;
   lost_peers_.insert(gdo_index);
   if (wants_ == SessionWants::recv) {
-    deliver_event(Event{Event::Kind::wake, 0, {}, {}});
+    deliver_event(Event{Event::Kind::wake, 0, {}, {}, {}});
   } else {
     lost_wake_pending_ = true;
   }
@@ -145,7 +163,7 @@ void ProtocolSession::on_transport_closed(TimePoint now) {
   now_ = now;
   closed_ = true;
   if (wants_ == SessionWants::recv) {
-    deliver_event(Event{Event::Kind::closed, 0, {}, {}});
+    deliver_event(Event{Event::Kind::closed, 0, {}, {}, {}});
   }
 }
 
@@ -222,11 +240,11 @@ bool ProtocolSession::input_ready() noexcept {
   }
   if (lost_wake_pending_) {
     lost_wake_pending_ = false;
-    pending_event_ = Event{Event::Kind::wake, 0, {}, {}};
+    pending_event_ = Event{Event::Kind::wake, 0, {}, {}, {}};
     return true;
   }
   if (closed_) {
-    pending_event_ = Event{Event::Kind::closed, 0, {}, {}};
+    pending_event_ = Event{Event::Kind::closed, 0, {}, {}, {}};
     return true;
   }
   return false;
@@ -235,8 +253,7 @@ bool ProtocolSession::input_ready() noexcept {
 void ProtocolSession::suspend_for_input(std::coroutine_handle<> handle) noexcept {
   resume_ = handle;
   wants_ = SessionWants::recv;
-  // Fresh deadline per wait: the same per-call semantics the blocking loops
-  // got from Mailbox::receive_for(receive_timeout_).
+  // Fresh deadline per wait: every receive gets the full timeout.
   if (receive_timeout_ > std::chrono::milliseconds{0}) {
     wait_deadline_ = now_ + receive_timeout_;
   } else {

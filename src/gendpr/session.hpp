@@ -11,11 +11,11 @@
 // under any front-end.
 //
 // The protocol bodies are written once as C++20 coroutines (run_protocol)
-// that suspend at their receive and send-flush points; the blocking node
-// pumps (node.hpp), the epoll driver (session_driver.hpp), step-level unit
-// tests, and the fuzz harnesses are all just different drivers of the same
-// coroutine. Sessions speak GDO indices; translating them to transport node
-// ids is the driver's job.
+// that suspend at their receive and send-flush points; the event-loop
+// driver (session_driver.hpp), step-level unit tests, and the fuzz
+// harnesses are all just different drivers of the same coroutine. Sessions
+// speak GDO indices; translating them to transport node ids is the
+// driver's job.
 #pragma once
 
 #include <chrono>
@@ -95,8 +95,8 @@ class ProtocolSession {
   ProtocolSession& operator=(const ProtocolSession&) = delete;
 
   /// Bounds every protocol wait (kNoDeadline = wait forever). Each recv
-  /// suspension takes a fresh deadline of now + timeout, matching the
-  /// per-call semantics of Mailbox::receive_for. Call before start().
+  /// suspension takes a fresh deadline of now + timeout. Call before
+  /// start().
   void set_receive_timeout(std::chrono::milliseconds timeout) noexcept {
     receive_timeout_ = timeout;
   }
@@ -117,6 +117,12 @@ class ProtocolSession {
   /// are copied into the input queue exactly like the owning overload.
   void on_frame(std::uint32_t from_gdo, common::BytesView payload,
                 TimePoint now);
+
+  /// Zero-copy delivery of a frame whose pooled storage the transport gives
+  /// away: when the session is blocked on a receive the protocol body gets
+  /// a view and the event keeps the frame alive exactly as long as the body
+  /// holds it; otherwise the payload is queued like the view overload's.
+  void on_frame(std::uint32_t from_gdo, wire::WireBuffer frame, TimePoint now);
 
   /// Pool backing this session's outgoing frames (nullptr = the process-wide
   /// wire::default_pool()). Call before start().
@@ -167,16 +173,18 @@ class ProtocolSession {
  protected:
   /// One resumption cause for a suspended receive point. Frame payloads are
   /// views: a frame that passed through the input queue views its own
-  /// `owned` backing (moved along with the event), while a frame delivered
-  /// straight from the transport aliases the receive buffer and is valid
-  /// only until the coroutine next suspends — the protocol bodies decrypt
-  /// or parse every payload before their next co_await.
+  /// `owned` backing and a frame the transport gave away views `frame`
+  /// (either moves along with the event), while a frame delivered straight
+  /// from a receive buffer aliases it and is valid only until the coroutine
+  /// next suspends — the protocol bodies decrypt or parse every payload
+  /// before their next co_await.
   struct Event {
     enum class Kind { frame, timeout, wake, closed };
     Kind kind = Kind::wake;
     std::uint32_t from_gdo = 0;
     common::BytesView payload;
     common::Bytes owned;
+    wire::WireBuffer frame;
   };
 
   /// Root coroutine of a protocol body. Lazily started; its co_returned
@@ -317,8 +325,8 @@ class ProtocolSession {
 };
 
 /// Member-side protocol session: handshakes with the leader, then answers
-/// phase requests until the study completes. The exact logic MemberNode ran
-/// on its service thread, with every mailbox wait a suspension point.
+/// phase requests until the study completes, with every receive a
+/// suspension point.
 class MemberSession : public ProtocolSession {
  public:
   MemberSession(tee::Platform& platform, std::uint32_t gdo_index,
@@ -354,10 +362,10 @@ class MemberSession : public ProtocolSession {
 };
 
 /// Leader-side protocol session: establishes channels to every member, then
-/// drives the three phases and produces the study result. The exact logic
-/// LeaderNode::run_study_impl ran, with gathers and broadcasts suspending
-/// instead of blocking; the transport-meter fields of StudyResult are left
-/// for the driver (the session has no transport to read them from).
+/// drives the three phases and produces the study result. Gathers and
+/// broadcasts suspend instead of blocking; the transport-meter fields of
+/// StudyResult are left for the driver (the session has no transport to
+/// read them from).
 class LeaderSession : public ProtocolSession {
  public:
   LeaderSession(tee::Platform& platform, std::uint32_t gdo_index,

@@ -7,15 +7,21 @@ namespace gendpr::core {
 
 using Clock = ProtocolSession::Clock;
 
-EpollSessionDriver::EpollSessionDriver(net::EventLoop& loop, net::Hub& hub,
-                                       ProtocolSession& session)
+SessionDriver::SessionDriver(net::EventLoop& loop, net::Hub& hub,
+                             ProtocolSession& session)
     : loop_(&loop), hub_(&hub), session_(&session) {
-  hub_->set_frame_handler([this](net::NodeId from, common::BytesView payload) {
+  hub_->set_frame_handler([this](net::NodeId from, common::BytesView payload,
+                                 wire::WireBuffer* frame) {
     if (from == net::kNoNode) return;
-    // Zero-copy delivery: the view aliases the hub's receive buffer; the
-    // session either consumes it before returning or copies it into its
-    // input queue.
-    session_->on_frame(from - 1, payload, Clock::now());
+    // Zero-copy delivery. A frame the hub gives away moves into the session,
+    // which frees it as soon as the protocol body is done with it; a bare
+    // view aliases the hub's receive buffer, and the session either consumes
+    // it before returning or copies it into its input queue.
+    if (frame != nullptr) {
+      session_->on_frame(from - 1, std::move(*frame), Clock::now());
+    } else {
+      session_->on_frame(from - 1, payload, Clock::now());
+    }
     pump();
   });
   hub_->set_peer_lost_handler([this](net::NodeId peer) {
@@ -49,19 +55,19 @@ EpollSessionDriver::EpollSessionDriver(net::EventLoop& loop, net::Hub& hub,
   });
 }
 
-EpollSessionDriver::~EpollSessionDriver() {
+SessionDriver::~SessionDriver() {
   if (deadline_timer_.has_value()) loop_->cancel_timer(*deadline_timer_);
   hub_->set_frame_handler(nullptr);
   hub_->set_peer_lost_handler(nullptr);
   hub_->set_backpressure_handler(nullptr);
 }
 
-void EpollSessionDriver::start() {
+void SessionDriver::start() {
   session_->start(Clock::now());
   pump();
 }
 
-void EpollSessionDriver::close() {
+void SessionDriver::close() {
   // A session stalled at its flush point is suspended waiting for the send
   // acknowledgement, not for transport events — release it first so the
   // closed notification lands on a session that can observe it.
@@ -75,7 +81,7 @@ void EpollSessionDriver::close() {
   pump();
 }
 
-void EpollSessionDriver::pump() {
+void SessionDriver::pump() {
   // Reentrancy guard: hub_->send inside the loop below can synchronously
   // tear a connection down and fire the peer-lost handler, which calls
   // pump() again. The inner call must not acknowledge the flush the outer
@@ -134,7 +140,7 @@ void EpollSessionDriver::pump() {
   pumping_ = false;
 }
 
-void EpollSessionDriver::rearm_deadline() {
+void SessionDriver::rearm_deadline() {
   if (deadline_timer_.has_value()) {
     loop_->cancel_timer(*deadline_timer_);
     deadline_timer_.reset();

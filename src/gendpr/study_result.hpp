@@ -1,7 +1,5 @@
-// Study outcome types shared by the sans-IO sessions and the node hosts.
-//
-// Split out of node.hpp so the protocol sessions (session.hpp) can populate
-// a StudyResult without depending on the blocking host layer.
+// Study outcome types shared by the sans-IO sessions, the federation runner
+// and the reports.
 #pragma once
 
 #include <chrono>
@@ -10,7 +8,7 @@
 #include <vector>
 
 #include "gendpr/trusted.hpp"
-#include "net/network.hpp"
+#include "net/traffic_meter.hpp"
 
 namespace gendpr::core {
 

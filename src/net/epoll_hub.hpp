@@ -1,18 +1,17 @@
 // Nonblocking TCP endpoint driven by an EventLoop (readiness model).
 //
-// Where TcpHub spends one reader thread per peer plus an acceptor thread,
 // EpollHub is a callback front-end for a single-threaded epoll loop: frames
 // arrive through set_frame_handler, connection losses through
 // set_peer_lost_handler, and send_frame() enqueues pooled WireBuffers into a
 // per-connection write queue flushed with gathered writes (one
 // sendmsg/writev batch coalesces many small frames) as EPOLLOUT allows.
-// Crossing the per-connection write
-// watermark fires the backpressure handler (see net/hub.hpp). Dialing is
-// nonblocking with timer-driven, jittered exponential backoff, and frames
-// sent while a dial is still in flight are buffered and flushed in order
-// once it completes — so any number of GDO endpoints (and their protocol
-// sessions) can share one thread. The wire format (wire/frame.hpp, hello
-// included) is exactly TcpHub's: the hubs interoperate frame-for-frame.
+// Crossing the per-connection write watermark fires the backpressure
+// handler (see net/hub.hpp). Dialing is nonblocking with timer-driven,
+// jittered exponential backoff, and frames sent while a dial is still in
+// flight are buffered and flushed in order once it completes — so any
+// number of GDO endpoints (and their protocol sessions) can share one
+// thread. The wire format is wire/frame.hpp: an empty hello naming the
+// dialer, then length-prefixed frames.
 //
 // Threading: everything here, handlers included, runs on the loop thread.
 // No locks, no atomics — the event loop is the serialization point.
@@ -24,6 +23,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <random>
 #include <set>
 #include <string>
 
@@ -35,6 +35,15 @@ namespace gendpr::net {
 
 class EpollHub : public Hub {
  public:
+  /// Dial behaviour: attempts spaced by exponential backoff starting at
+  /// `initial_backoff` (doubling per retry) with uniform random jitter of
+  /// up to half the current backoff, so peers that lost the same hub do not
+  /// retry in lockstep and re-stampede it.
+  struct DialOptions {
+    int max_attempts = 5;
+    std::chrono::milliseconds initial_backoff{25};
+  };
+
   /// Binds a listening socket on 127.0.0.1:port (port 0 = ephemeral; see
   /// port()) for node `self` and accepts peer connections on `loop`. The
   /// loop must outlive the hub.
@@ -42,23 +51,23 @@ class EpollHub : public Hub {
                                                           NodeId self,
                                                           std::uint16_t port);
 
-  /// Hub with no listening socket of its own: every inbound connection is
-  /// handed over by a StudyAcceptor through adopt_inbound(). Dialing out
-  /// still works.
-  static std::unique_ptr<EpollHub> create_adopt_only(EventLoop& loop,
-                                                     NodeId self);
-
   ~EpollHub() override;
 
+  /// Listening port.
+  std::uint16_t port() const noexcept { return port_; }
+
+  /// Starts a nonblocking dial to a peer hub. Frames sent to `peer` before
+  /// the dial completes are buffered and flushed (after the hello) once it
+  /// does; if every attempt fails the peer is reported lost.
   void connect_peer(NodeId peer, const std::string& host, std::uint16_t port,
-                    DialOptions options) override;
-  using Hub::connect_peer;
+                    DialOptions options);
+  void connect_peer(NodeId peer, const std::string& host, std::uint16_t port) {
+    connect_peer(peer, host, port, DialOptions{});
+  }
 
   common::Status send_frame(NodeId to, wire::WireBuffer buf) override;
 
   bool is_connected(NodeId peer) const override;
-
-  void adopt_inbound(int fd, NodeId peer, common::Bytes leftover) override;
 
  private:
   /// One TCP connection (inbound or dialed). Registered as the fd's
@@ -117,13 +126,18 @@ class EpollHub : public Hub {
   void finish_dial(NodeId peer, const std::shared_ptr<Conn>& conn);
   void register_established(NodeId peer, const std::shared_ptr<Conn>& conn);
   void report_peer_lost(NodeId peer);
+  /// Backoff with uniform jitter in [backoff, 1.5*backoff): breaks the
+  /// deterministic lockstep of peers reconnecting to the same endpoint.
+  std::chrono::milliseconds jittered(std::chrono::milliseconds backoff);
 
   EventLoop* loop_;
-  int listen_fd_;  // -1 for an adopt-only hub
+  int listen_fd_;
+  std::uint16_t port_;
   std::map<int, std::shared_ptr<Conn>> conns_;   // every live fd
   std::map<NodeId, std::shared_ptr<Conn>> peers_;  // established only
   std::map<NodeId, Dial> dials_;
   std::set<NodeId> lost_peers_;
+  std::minstd_rand jitter_rng_;
 };
 
 }  // namespace gendpr::net

@@ -4,10 +4,10 @@
 #include <sys/eventfd.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <utility>
-#include <vector>
 
 namespace gendpr::net {
 
@@ -79,12 +79,18 @@ void EventLoop::cancel_timer(TimerId id) {
 }
 
 void EventLoop::post(std::function<void()> fn) {
+  bool first = false;
   {
     const std::lock_guard<std::mutex> lock(posted_mutex_);
+    first = posted_.empty();
     posted_.push_back(std::move(fn));
   }
+  // Only the post that makes the queue non-empty wakes the loop: a queue
+  // that already held tasks has a wakeup pending, and poll_once always
+  // drains the queue after reading the eventfd. A full eventfd counter
+  // (EAGAIN) already guarantees a pending wakeup too.
+  if (!first) return;
   const std::uint64_t one = 1;
-  // A full eventfd counter (EAGAIN) already guarantees a pending wakeup.
   [[maybe_unused]] const ssize_t n =
       ::write(wake_fd_, &one, sizeof(one));
 }
@@ -97,7 +103,12 @@ void EventLoop::run_posted_tasks() {
     const std::lock_guard<std::mutex> lock(posted_mutex_);
     batch.swap(posted_);
   }
-  for (auto& fn : batch) fn();
+  for (auto& fn : batch) {
+    fn();
+    // Drop the task's captures now, not with the batch: a task that carried
+    // a large frame must not pin it while the rest of the batch runs.
+    fn = nullptr;
+  }
 }
 
 int EventLoop::wait_timeout_ms(std::chrono::milliseconds max_wait) const {
@@ -126,7 +137,7 @@ void EventLoop::run_due_timers() {
 }
 
 void EventLoop::poll_once(std::chrono::milliseconds max_wait) {
-  std::vector<epoll_event> events(64);
+  std::array<epoll_event, 64> events{};
   const int n = ::epoll_wait(epoll_fd_, events.data(),
                              static_cast<int>(events.size()),
                              wait_timeout_ms(max_wait));

@@ -9,9 +9,9 @@
 //
 // The one cross-thread entry point is post(): any thread may enqueue a task,
 // an eventfd wakes the loop, and the task runs on the loop thread. This is
-// how a sharded federation (one loop per core) injects work into a sibling
-// loop — connection handoffs, straggler teardown, shutdown wakeups — without
-// ever sharing loop state across threads.
+// how a federation spread over several loops injects work into a sibling
+// loop — MemHub frame deliveries, straggler teardown, shutdown wakeups —
+// without ever sharing loop state across threads.
 #pragma once
 
 #include <chrono>

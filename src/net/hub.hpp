@@ -1,57 +1,47 @@
-// Common surface of the nonblocking socket hubs (epoll and io_uring).
+// Common surface of the federation's transports.
 //
-// A Hub is one GDO endpoint on an EventLoop: it owns the framed loopback
-// TCP connections of that node, delivers inbound frames and peer losses
-// through callbacks, and queues outbound frames for asynchronous delivery.
-// EpollHub (readiness-driven) and UringHub (completion-driven) both derive
-// from this class, so the session driver, the federation runner, and the
-// StudyAcceptor are written once against the seam and never know which
-// kernel interface is underneath.
+// A Hub is one GDO endpoint on an EventLoop: it owns that node's links to
+// its peers, delivers inbound frames and peer losses through callbacks, and
+// queues outbound frames for asynchronous delivery. EpollHub carries frames
+// over loopback TCP sockets; MemHub hands them to a peer hub in the same
+// process. The session driver and the federation runner are written once
+// against this seam and never know which medium is underneath.
 //
-// Write-side backpressure lives here: every connection accounts the bytes
+// Write-side backpressure lives here: a socket connection accounts the bytes
 // queued but not yet on the wire, and crossing the high watermark fires the
 // backpressure handler with paused=true (resumed at the low watermark).
 // Drivers use the pause to stop pulling frames out of their session, so one
 // slow peer stalls exactly one session — never the loop, never a sibling.
+// MemHub queues nothing of its own and never pauses.
 //
 // Threading: everything here, handlers included, runs on the loop thread.
 #pragma once
 
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <functional>
-#include <random>
-#include <string>
 
 #include "common/bytes.hpp"
 #include "common/error.hpp"
-#include "net/network.hpp"
+#include "net/traffic_meter.hpp"
 #include "wire/buffer_pool.hpp"
 
 namespace gendpr::net {
 
 class Hub {
  public:
-  /// Inbound payloads are views into the hub's pooled receive buffer, valid
-  /// only for the duration of the call — sessions decrypt in place (open_to)
-  /// or copy before returning.
-  using FrameHandler =
-      std::function<void(NodeId from, common::BytesView payload)>;
+  /// Inbound payloads are views valid only for the duration of the call:
+  /// into the hub's receive buffer (EpollHub) or into the sender's pooled
+  /// frame (MemHub). Sessions decrypt in place (open_to) or copy before
+  /// returning. `frame` is that pooled frame when the hub can give it away
+  /// (MemHub; null for EpollHub): a handler that needs the payload past the
+  /// call moves the frame out instead of copying it.
+  using FrameHandler = std::function<void(
+      NodeId from, common::BytesView payload, wire::WireBuffer* frame)>;
   using PeerLostHandler = std::function<void(NodeId peer)>;
   /// paused=true: the connection to `peer` crossed the high watermark and
   /// the producer should stop queueing. paused=false: drained below the low
   /// watermark (or the connection died), producing may resume.
   using BackpressureHandler = std::function<void(NodeId peer, bool paused)>;
-
-  /// Dial behaviour: attempts spaced by exponential backoff starting at
-  /// `initial_backoff` (doubling per retry) with uniform random jitter of
-  /// up to half the current backoff, so peers that lost the same hub do not
-  /// retry in lockstep and re-stampede it.
-  struct DialOptions {
-    int max_attempts = 5;
-    std::chrono::milliseconds initial_backoff{25};
-  };
 
   /// Per-connection write-queue watermarks, in bytes of encoded frames not
   /// yet written to the socket. high must be > low.
@@ -80,15 +70,13 @@ class Hub {
   Hub& operator=(const Hub&) = delete;
 
   NodeId self() const noexcept { return self_; }
-  /// Listening port (0 for an adopt-only hub fed by a StudyAcceptor).
-  std::uint16_t port() const noexcept { return port_; }
 
   /// Delivery callback for every data frame (hellos are consumed here).
   void set_frame_handler(FrameHandler handler) {
     frame_handler_ = std::move(handler);
   }
-  /// Loss callback: fires when an established connection dies or a dial
-  /// exhausts its attempts.
+  /// Loss callback: fires when an established link dies (for EpollHub also
+  /// when a dial exhausts its attempts).
   void set_peer_lost_handler(PeerLostHandler handler) {
     peer_lost_handler_ = std::move(handler);
   }
@@ -98,12 +86,6 @@ class Hub {
   }
   /// Replaces the default watermarks. Call before traffic flows.
   void set_watermarks(Watermarks watermarks) { watermarks_ = watermarks; }
-
-  /// Study this endpoint belongs to; rides in every dial's hello so a
-  /// shared acceptor can route the connection. 0 = the classic
-  /// single-study hello (empty payload, byte-identical wire format).
-  void set_study_id(std::uint64_t study_id) noexcept { study_id_ = study_id; }
-  std::uint64_t study_id() const noexcept { return study_id_; }
 
   const BackpressureStats& backpressure() const noexcept { return bp_stats_; }
   const WireStats& wire_stats() const noexcept { return wire_stats_; }
@@ -117,21 +99,12 @@ class Hub {
     return pool_ != nullptr ? *pool_ : wire::default_pool();
   }
 
-  /// Starts a nonblocking dial to a peer hub. Frames sent to `peer` before
-  /// the dial completes are buffered and flushed (after the hello) once it
-  /// does; if every attempt fails the peer is reported lost.
-  virtual void connect_peer(NodeId peer, const std::string& host,
-                            std::uint16_t port, DialOptions options) = 0;
-  void connect_peer(NodeId peer, const std::string& host, std::uint16_t port) {
-    connect_peer(peer, host, port, DialOptions{});
-  }
-
   /// Enqueues one pooled frame for `peer`. The buffer arrives with its
   /// payload in final wire position; the hub stamps the frame header
   /// (finish_frame) and queues the buffer as-is — no copy between the
-  /// session and the kernel. Success means accepted for delivery (written as
-  /// the kernel allows), not yet on the wire; unknown_peer means there is no
-  /// live or in-flight connection to the peer.
+  /// session and the medium. Success means accepted for delivery, not yet
+  /// delivered; unknown_peer means there is no live or in-flight link to
+  /// the peer.
   virtual common::Status send_frame(NodeId to, wire::WireBuffer buf) = 0;
 
   /// Compatibility convenience over send_frame for callers holding an
@@ -142,33 +115,11 @@ class Hub {
                                                         payload.size())));
   }
 
-  /// True while an established connection to `peer` is registered.
+  /// True while an established link to `peer` is registered.
   virtual bool is_connected(NodeId peer) const = 0;
 
-  /// Adopts an established inbound connection whose hello was already
-  /// consumed by a StudyAcceptor. Ownership of `fd` transfers to the hub;
-  /// `leftover` is whatever the acceptor read past the hello and is fed to
-  /// the framer first. Must run on the hub's loop thread.
-  virtual void adopt_inbound(int fd, NodeId peer, common::Bytes leftover) = 0;
-
  protected:
-  Hub(NodeId self, std::uint16_t port)
-      : self_(self),
-        port_(port),
-        jitter_rng_(std::random_device{}() ^
-                    (static_cast<unsigned>(self) << 16)) {}
-
-  void set_port(std::uint16_t port) noexcept { port_ = port; }
-
-  /// Backoff with uniform jitter in [backoff, 1.5*backoff): breaks the
-  /// deterministic lockstep of peers reconnecting to the same endpoint.
-  std::chrono::milliseconds jittered(std::chrono::milliseconds backoff) {
-    const auto half = std::max<std::chrono::milliseconds::rep>(
-        backoff.count() / 2, 1);
-    std::uniform_int_distribution<std::chrono::milliseconds::rep> dist(0,
-                                                                       half);
-    return backoff + std::chrono::milliseconds(dist(jitter_rng_));
-  }
+  explicit Hub(NodeId self) : self_(self) {}
 
   /// Watermark bookkeeping after a connection's queue grew to `queued`
   /// bytes. `paused` is the connection's pause flag.
@@ -205,8 +156,6 @@ class Hub {
   }
 
   NodeId self_;
-  std::uint16_t port_;
-  std::uint64_t study_id_ = 0;
   Watermarks watermarks_;
   BackpressureStats bp_stats_;
   WireStats wire_stats_;
@@ -215,7 +164,6 @@ class Hub {
   FrameHandler frame_handler_;
   PeerLostHandler peer_lost_handler_;
   BackpressureHandler backpressure_handler_;
-  std::minstd_rand jitter_rng_;
 };
 
 }  // namespace gendpr::net

@@ -65,7 +65,8 @@ void BufferPool::release(common::Bytes storage) {
   if (stats_.outstanding > 0) {
     --stats_.outstanding;
   }
-  if (free_.size() < max_retained_) {
+  if (free_.size() < max_retained_ &&
+      storage.capacity() <= kMaxRetainedCapacity) {
     storage.clear();
     free_.push_back(std::move(storage));
   }

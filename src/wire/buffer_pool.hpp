@@ -27,9 +27,16 @@ namespace gendpr::wire {
 
 /// Thread-safe freelist of frame storage buffers. The retained-buffer cap
 /// defaults to `GENDPR_POOL_BUFFERS` (64 when unset); buffers released past
-/// the cap are simply freed.
+/// the cap are simply freed, and so is any buffer larger than
+/// kMaxRetainedCapacity.
 class BufferPool {
  public:
+  /// Largest buffer capacity the freelist keeps. The steady-state frames
+  /// the pool exists for (moments, counts, tiles, LR slices) are far
+  /// smaller; a multi-MB frame kept past its delivery would only pin its
+  /// pages for the rest of the run.
+  static constexpr std::size_t kMaxRetainedCapacity = 8u << 20;
+
   struct Stats {
     std::uint64_t hits = 0;         // acquisitions served from the freelist
     std::uint64_t misses = 0;       // acquisitions that had to allocate
@@ -129,7 +136,7 @@ class WireBuffer {
   bool empty() const noexcept { return storage_.size() <= kHeaderBytes; }
   std::size_t size() const noexcept { return payload_size(); }
 
-  /// Compatibility shim for owning consumers (threaded transport, tests):
+  /// Compatibility shim for owning consumers (tests, transcript tools):
   /// strips the header headroom and yields the payload as owning Bytes.
   /// Costs one memmove, counted in BufferPool::Stats::copies.
   common::Bytes take_payload() &&;

@@ -38,24 +38,8 @@ common::Bytes encode_frame(std::uint32_t from, common::BytesView payload) {
   return frame;
 }
 
-common::Bytes encode_hello(std::uint32_t from, std::uint64_t study_id) {
-  if (study_id == 0) return encode_frame(from, {});
-  std::array<std::uint8_t, kHelloStudyBytes> body{};
-  for (std::size_t i = 0; i < kHelloStudyBytes; ++i) {
-    body[i] = static_cast<std::uint8_t>(study_id >> (8 * i));
-  }
-  return encode_frame(from, common::BytesView(body.data(), body.size()));
-}
-
-std::optional<std::uint64_t> FrameDecoder::Frame::hello_study()
-    const noexcept {
-  if (payload.empty()) return std::uint64_t{0};
-  if (payload.size() != kHelloStudyBytes) return std::nullopt;
-  std::uint64_t id = 0;
-  for (std::size_t i = 0; i < kHelloStudyBytes; ++i) {
-    id |= std::uint64_t{payload[i]} << (8 * i);
-  }
-  return id;
+common::Bytes encode_hello(std::uint32_t from) {
+  return encode_frame(from, {});
 }
 
 void FrameDecoder::feed(common::BytesView data) {

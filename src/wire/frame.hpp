@@ -2,12 +2,9 @@
 //
 // A frame is [u32 len][u32 from][payload] (little-endian), where len covers
 // the from field plus the payload. The first frame on every connection is
-// the "hello" announcing the sender's node id: its payload is either empty
-// (study 0, the classic single-study wire format) or exactly 8 bytes of
-// little-endian study id — how a long-lived acceptor multiplexes several
-// concurrent studies over one port. TcpHub's blocking reader threads and
-// the epoll/io_uring hubs' incremental reads all parse this layout through
-// FrameDecoder, so every transport stays wire-compatible by construction.
+// the "hello" announcing the sender's node id: a frame with an empty
+// payload. The socket hub's incremental reads parse this layout through
+// FrameDecoder.
 //
 // The decoder is zero-copy on the common path: feed() borrows the caller's
 // receive buffer, and frames that land wholly inside one chunk come back as
@@ -42,13 +39,8 @@ std::array<std::uint8_t, kFrameHeaderBytes> encode_frame_header(
 /// queued nonblocking write wants.
 common::Bytes encode_frame(std::uint32_t from, common::BytesView payload);
 
-/// Payload size of a hello that names a study (8-byte little-endian id).
-inline constexpr std::size_t kHelloStudyBytes = 8;
-
-/// Connection-opening hello from `from`. Study 0 encodes as the classic
-/// empty-payload hello, so single-study deployments stay byte-identical on
-/// the wire.
-common::Bytes encode_hello(std::uint32_t from, std::uint64_t study_id);
+/// Connection-opening hello from `from`: a frame with an empty payload.
+common::Bytes encode_hello(std::uint32_t from);
 
 /// Incremental frame parser over an arbitrary chunking of the byte stream.
 /// feed() borrows raw bytes; next() yields completed frames in order as
@@ -61,15 +53,10 @@ class FrameDecoder {
     /// straddled a chunk boundary). Valid until the next call to next() or
     /// feed() — decrypt or copy before then.
     common::BytesView payload;
-    /// True for the connection-opening hello (empty payload or an 8-byte
-    /// study id). Only meaningful for the FIRST frame of a connection;
-    /// established-connection frames are never re-interpreted as hellos.
-    bool is_hello() const noexcept {
-      return payload.empty() || payload.size() == kHelloStudyBytes;
-    }
-    /// Study id carried by a hello: 0 for the classic empty hello, the
-    /// decoded id for an 8-byte hello, nullopt when the frame is no hello.
-    std::optional<std::uint64_t> hello_study() const noexcept;
+    /// True for the connection-opening hello (empty payload). Only
+    /// meaningful for the FIRST frame of a connection; established-
+    /// connection frames are never re-interpreted as hellos.
+    bool is_hello() const noexcept { return payload.empty(); }
   };
 
   /// Borrows `data` until next() returns nullopt. Any bytes of a previously

@@ -1,10 +1,11 @@
-// Federation over the event-loop front-ends: every GDO is a sans-IO session
-// on its own hub (loopback TCP), driven by one or more event-loop threads.
-// Whatever the transport (epoll, io_uring) and however the sessions are
-// sharded across loops, the results must be bit-identical to the
-// thread-per-node fabric.
+// Federation over loopback sockets: every GDO is a sans-IO session on its
+// own EpollHub, driven by one or more event-loop threads. However the
+// sessions are sharded across loops, the results must be bit-identical to
+// the in_process transport, whose in-memory hubs give every GDO its own
+// loop thread.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <vector>
@@ -14,7 +15,7 @@
 #include "gendpr/session_driver.hpp"
 #include "net/epoll_hub.hpp"
 #include "net/event_loop.hpp"
-#include "net/uring_hub.hpp"
+#include "session_pump.hpp"
 #include "tee/attestation.hpp"
 
 namespace gendpr::core {
@@ -31,6 +32,8 @@ genome::Cohort test_cohort(std::size_t cases, std::size_t controls,
 }
 
 TEST(EpollFederationTest, EightGdoStudyOnOneThreadMatchesThreaded) {
+  // The same G=8 study over sockets on one loop thread and over in-memory
+  // hubs on one loop thread per GDO.
   const genome::Cohort cohort = test_cohort(400, 300, 60, 321);
 
   FederationSpec spec;
@@ -40,24 +43,37 @@ TEST(EpollFederationTest, EightGdoStudyOnOneThreadMatchesThreaded) {
   spec.parallel_combinations = false;
 
   spec.transport = FederationSpec::TransportMode::in_process;
-  const auto threaded = run_federated_study(cohort, spec);
-  ASSERT_TRUE(threaded.ok()) << threaded.error().to_string();
+  const auto in_process = run_federated_study(cohort, spec);
+  ASSERT_TRUE(in_process.ok()) << in_process.error().to_string();
 
   spec.transport = FederationSpec::TransportMode::epoll;
   const auto epoll = run_federated_study(cohort, spec);
   ASSERT_TRUE(epoll.ok()) << epoll.error().to_string();
 
-  EXPECT_EQ(epoll.value().outcome.l_prime, threaded.value().outcome.l_prime);
+  EXPECT_EQ(epoll.value().outcome.l_prime, in_process.value().outcome.l_prime);
   EXPECT_EQ(epoll.value().outcome.l_double_prime,
-            threaded.value().outcome.l_double_prime);
-  EXPECT_EQ(epoll.value().outcome.l_safe, threaded.value().outcome.l_safe);
+            in_process.value().outcome.l_double_prime);
+  EXPECT_EQ(epoll.value().outcome.l_safe, in_process.value().outcome.l_safe);
 
-  // The leader hub terminates every star link, so real traffic was metered.
+  // The leader hub terminates every star link, so real traffic was metered,
+  // and both media meter the same payload bytes on every link.
   EXPECT_GT(epoll.value().network_bytes_total, 0u);
   EXPECT_GT(epoll.value().leader_bytes_received, 0u);
-  EXPECT_FALSE(epoll.value().network_links.empty());
+  EXPECT_EQ(epoll.value().network_bytes_total,
+            in_process.value().network_bytes_total);
+  EXPECT_EQ(epoll.value().leader_bytes_received,
+            in_process.value().leader_bytes_received);
   // 7 members, two directions each.
-  EXPECT_EQ(epoll.value().network_links.size(), 14u);
+  ASSERT_EQ(epoll.value().network_links.size(), 14u);
+  ASSERT_EQ(in_process.value().network_links.size(), 14u);
+  for (std::size_t i = 0; i < 14; ++i) {
+    EXPECT_EQ(epoll.value().network_links[i].bytes,
+              in_process.value().network_links[i].bytes)
+        << "link " << i;
+    EXPECT_EQ(epoll.value().network_links[i].messages,
+              in_process.value().network_links[i].messages)
+        << "link " << i;
+  }
 }
 
 TEST(EpollFederationTest, MultiLoopShardingMatchesSingleLoop) {
@@ -70,8 +86,8 @@ TEST(EpollFederationTest, MultiLoopShardingMatchesSingleLoop) {
   spec.seed = 17;
   spec.parallel_combinations = false;
   spec.transport = FederationSpec::TransportMode::in_process;
-  const auto threaded = run_federated_study(cohort, spec);
-  ASSERT_TRUE(threaded.ok()) << threaded.error().to_string();
+  const auto in_process = run_federated_study(cohort, spec);
+  ASSERT_TRUE(in_process.ok()) << in_process.error().to_string();
 
   obs::Observability observability;
   spec.transport = FederationSpec::TransportMode::epoll;
@@ -80,40 +96,13 @@ TEST(EpollFederationTest, MultiLoopShardingMatchesSingleLoop) {
   const auto sharded = run_federated_study(cohort, spec);
   ASSERT_TRUE(sharded.ok()) << sharded.error().to_string();
 
-  EXPECT_EQ(sharded.value().outcome.l_prime, threaded.value().outcome.l_prime);
+  EXPECT_EQ(sharded.value().outcome.l_prime,
+            in_process.value().outcome.l_prime);
   EXPECT_EQ(sharded.value().outcome.l_double_prime,
-            threaded.value().outcome.l_double_prime);
-  EXPECT_EQ(sharded.value().outcome.l_safe, threaded.value().outcome.l_safe);
+            in_process.value().outcome.l_double_prime);
+  EXPECT_EQ(sharded.value().outcome.l_safe, in_process.value().outcome.l_safe);
   EXPECT_EQ(sharded.value().network_links.size(), 14u);
   EXPECT_EQ(observability.metrics.gauge("net.event_loops"), 3.0);
-}
-
-TEST(EpollFederationTest, UringTransportMatchesThreaded) {
-  // The io_uring proactor behind the same Hub seam: identical selections.
-  // On kernels without io_uring the spec downgrades to epoll with a logged
-  // warning, so this passes either way — the uring-specific assertions are
-  // simply exercised only where the kernel allows.
-  const genome::Cohort cohort = test_cohort(400, 300, 60, 321);
-
-  FederationSpec spec;
-  spec.num_gdos = 8;
-  spec.seed = 17;
-  spec.parallel_combinations = false;
-  spec.transport = FederationSpec::TransportMode::in_process;
-  const auto threaded = run_federated_study(cohort, spec);
-  ASSERT_TRUE(threaded.ok()) << threaded.error().to_string();
-
-  obs::Observability observability;
-  spec.transport = FederationSpec::TransportMode::uring;
-  spec.obs = &observability;
-  const auto uring = run_federated_study(cohort, spec);
-  ASSERT_TRUE(uring.ok()) << uring.error().to_string();
-
-  EXPECT_EQ(uring.value().outcome.l_prime, threaded.value().outcome.l_prime);
-  EXPECT_EQ(uring.value().outcome.l_double_prime,
-            threaded.value().outcome.l_double_prime);
-  EXPECT_EQ(uring.value().outcome.l_safe, threaded.value().outcome.l_safe);
-  EXPECT_GT(uring.value().network_bytes_total, 0u);
 }
 
 TEST(EpollFederationTest, EventLoopsEnvOverrideShardsTheStudy) {
@@ -121,8 +110,8 @@ TEST(EpollFederationTest, EventLoopsEnvOverrideShardsTheStudy) {
   FederationSpec spec;
   spec.num_gdos = 4;
   spec.transport = FederationSpec::TransportMode::in_process;
-  const auto threaded = run_federated_study(cohort, spec);
-  ASSERT_TRUE(threaded.ok());
+  const auto in_process = run_federated_study(cohort, spec);
+  ASSERT_TRUE(in_process.ok());
 
   obs::Observability observability;
   spec.transport = FederationSpec::TransportMode::epoll;
@@ -131,7 +120,7 @@ TEST(EpollFederationTest, EventLoopsEnvOverrideShardsTheStudy) {
   const auto sharded = run_federated_study(cohort, spec);
   ::unsetenv("GENDPR_EVENT_LOOPS");
   ASSERT_TRUE(sharded.ok()) << sharded.error().to_string();
-  EXPECT_EQ(sharded.value().outcome.l_safe, threaded.value().outcome.l_safe);
+  EXPECT_EQ(sharded.value().outcome.l_safe, in_process.value().outcome.l_safe);
   EXPECT_EQ(observability.metrics.gauge("net.event_loops"), 2.0);
 }
 
@@ -141,14 +130,14 @@ TEST(EpollFederationTest, TransportEnvOverrideSelectsEpoll) {
   spec.num_gdos = 3;
 
   spec.transport = FederationSpec::TransportMode::in_process;
-  const auto threaded = run_federated_study(cohort, spec);
-  ASSERT_TRUE(threaded.ok());
+  const auto in_process = run_federated_study(cohort, spec);
+  ASSERT_TRUE(in_process.ok());
 
   ASSERT_EQ(::setenv("GENDPR_TRANSPORT", "epoll", 1), 0);
   const auto epoll = run_federated_study(cohort, spec);
   ::unsetenv("GENDPR_TRANSPORT");
   ASSERT_TRUE(epoll.ok()) << epoll.error().to_string();
-  EXPECT_EQ(epoll.value().outcome.l_safe, threaded.value().outcome.l_safe);
+  EXPECT_EQ(epoll.value().outcome.l_safe, in_process.value().outcome.l_safe);
 }
 
 TEST(EpollFederationTest, ObservabilityAndTimingsSurviveTheEpollPath) {
@@ -241,8 +230,8 @@ TEST(EpollFederationTest, SilentMemberTimesOutOverEpoll) {
   MemberSession member(member_platform, 1, 0,
                        cohort.cases.slice_rows(60, 120));
 
-  EpollSessionDriver leader_driver(loop, *leader_hub.value(), leader);
-  EpollSessionDriver member_driver(loop, *member_hub.value(), member);
+  SessionDriver leader_driver(loop, *leader_hub.value(), leader);
+  SessionDriver member_driver(loop, *member_hub.value(), member);
   member_hub.value()->connect_peer(node_id_of(0), "127.0.0.1",
                                    leader_hub.value()->port());
   member_driver.start();
@@ -257,6 +246,84 @@ TEST(EpollFederationTest, SilentMemberTimesOutOverEpoll) {
   ASSERT_EQ(member.wants(), SessionWants::failed);
   EXPECT_EQ(member.status().error().code, common::Errc::aborted)
       << member.status().error().to_string();
+}
+
+TEST(EpollFederationTest, KilledMemberAbortsStudyPromptly) {
+  // Three GDOs over loopback sockets; GDO 2's whole hub dies right after
+  // the attested handshake (machine crash). The leader's hub notices the
+  // dropped connection and the study aborts well before the 10 s deadline,
+  // with a timeout naming the dead peer; the surviving member gets an abort
+  // notice instead of hanging.
+  const genome::Cohort cohort = test_cohort(300, 200, 50, 77);
+  tee::QuotingAuthority authority(std::array<std::uint8_t, 32>{0x73});
+  std::vector<std::unique_ptr<tee::Platform>> platforms;
+  for (std::uint32_t g = 0; g < 3; ++g) {
+    platforms.push_back(std::make_unique<tee::Platform>(
+        g + 1, authority,
+        crypto::Csprng(std::array<std::uint8_t, 32>{
+            static_cast<std::uint8_t>(g + 1)})));
+  }
+  StudyAnnounce announce;
+  announce.num_snps = 50;
+  announce.combinations =
+      Coordinator::build_combinations(3, CollusionPolicy::none());
+
+  net::EventLoop loop;
+  ASSERT_TRUE(loop.valid());
+  auto leader_hub = net::EpollHub::create(loop, node_id_of(0), 0);
+  auto survivor_hub = net::EpollHub::create(loop, node_id_of(1), 0);
+  auto doomed_hub = net::EpollHub::create(loop, node_id_of(2), 0);
+  ASSERT_TRUE(leader_hub.ok());
+  ASSERT_TRUE(survivor_hub.ok());
+  ASSERT_TRUE(doomed_hub.ok());
+
+  LeaderSession leader(*platforms[0], 0, 3, cohort.cases.slice_rows(0, 100),
+                       cohort.controls, announce);
+  leader.set_receive_timeout(std::chrono::milliseconds(10000));
+  MemberSession survivor(*platforms[1], 1, 0,
+                         cohort.cases.slice_rows(100, 200));
+  survivor.set_receive_timeout(std::chrono::milliseconds(10000));
+  GdoEnclave enclave(*platforms[2], 2);
+  ASSERT_TRUE(
+      enclave.provision_dataset(cohort.cases.slice_rows(200, 300)).ok());
+  bool handshake_done = false;
+  ScriptedPeer doomed(
+      0, [&handshake_done,
+          script = attested_member(enclave, honest_summary)](
+             std::optional<common::BytesView> frame) {
+        // The first inbound frame is the leader's handshake reply.
+        if (frame.has_value()) handshake_done = true;
+        return script(frame);
+      });
+
+  SessionDriver leader_driver(loop, *leader_hub.value(), leader);
+  SessionDriver survivor_driver(loop, *survivor_hub.value(), survivor);
+  auto doomed_driver = std::make_unique<SessionDriver>(
+      loop, *doomed_hub.value(), doomed);
+  for (auto* hub : {survivor_hub.value().get(), doomed_hub.value().get()}) {
+    hub->connect_peer(node_id_of(0), "127.0.0.1", leader_hub.value()->port());
+  }
+  const auto start = std::chrono::steady_clock::now();
+  survivor_driver.start();
+  doomed_driver->start();
+  leader_driver.start();
+  loop.run_until([&] { return handshake_done; });
+  // The "machine" is gone mid-study.
+  doomed_driver.reset();
+  doomed_hub.value().reset();
+  loop.run_until(
+      [&] { return leader_driver.finished() && survivor_driver.finished(); });
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+
+  ASSERT_EQ(leader.wants(), SessionWants::failed);
+  EXPECT_EQ(leader.status().error().code, common::Errc::timeout);
+  EXPECT_NE(leader.status().error().message.find("2"), std::string::npos)
+      << leader.status().error().to_string();
+  // Peer-loss detection beats the deadline by a wide margin.
+  EXPECT_LT(elapsed, std::chrono::seconds(8));
+  ASSERT_EQ(survivor.wants(), SessionWants::failed);
+  EXPECT_EQ(survivor.status().error().code, common::Errc::aborted)
+      << survivor.status().error().to_string();
 }
 
 }  // namespace

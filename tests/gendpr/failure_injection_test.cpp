@@ -1,16 +1,19 @@
 // Failure injection at the federation level: a compromised/malfunctioning
 // host between the enclaves. Everything the untrusted side can mutate -
 // handshakes, records, message ordering - must surface as a clean protocol
-// error at the leader, never as a wrong selection.
+// error at the leader, never as a wrong selection. The leader is a real
+// LeaderSession; the hostile or crashing hosts are scripted peers, all
+// stepped by pump_federation on a virtual clock.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <memory>
 #include <set>
-#include <thread>
+#include <vector>
 
-#include "gendpr/node.hpp"
+#include "gendpr/session.hpp"
 #include "genome/cohort.hpp"
+#include "session_pump.hpp"
 
 namespace gendpr::core {
 namespace {
@@ -22,7 +25,6 @@ struct LeaderFixture {
                                 crypto::Csprng(std::array<std::uint8_t, 32>{1})};
   tee::Platform member_platform{2, authority,
                                 crypto::Csprng(std::array<std::uint8_t, 32>{2})};
-  net::Network network;
 
   LeaderFixture() {
     genome::CohortSpec spec;
@@ -41,170 +43,117 @@ struct LeaderFixture {
     return a;
   }
 
-  /// The leader node (GDO 0). Constructing it attaches it to the network,
-  /// so tests MUST create it (via this accessor) before starting any
-  /// adversarial member thread - otherwise the member's first message races
-  /// the leader's attach and gets dropped, deadlocking the handshake.
-  LeaderNode& leader() {
-    if (!leader_node) {
-      leader_node = std::make_unique<LeaderNode>(
-          network, leader_platform, 0, 2, cohort.cases.slice_rows(0, 100),
+  /// The leader session (GDO 0) of a two-GDO study, built on first use.
+  LeaderSession& leader() {
+    if (!leader_session) {
+      leader_session = std::make_unique<LeaderSession>(
+          leader_platform, 0, 2, cohort.cases.slice_rows(0, 100),
           cohort.controls, announce());
     }
-    return *leader_node;
+    return *leader_session;
   }
 
-  common::Result<StudyResult> run_leader() {
-    return leader().run_study(nullptr);
+  /// A member enclave for GDO 1 provisioned with the second half of the
+  /// cases, for scripted hosts to speak from.
+  std::unique_ptr<GdoEnclave> member_enclave() {
+    auto enclave = std::make_unique<GdoEnclave>(member_platform, 1);
+    EXPECT_TRUE(
+        enclave->provision_dataset(cohort.cases.slice_rows(100, 200)).ok());
+    return enclave;
   }
 
-  std::unique_ptr<LeaderNode> leader_node;
+  /// Pumps the leader (GDO 0) and `peers` (GDO 1, 2, ...) until the
+  /// federation is quiet; returns the leader's final status.
+  common::Status run(std::vector<ProtocolSession*> peers) {
+    peers.insert(peers.begin(), &leader());
+    pump_federation(std::move(peers));
+    EXPECT_NE(leader().wants(), SessionWants::recv) << "leader still waiting";
+    return leader().status();
+  }
+
+  std::unique_ptr<LeaderSession> leader_session;
 };
+
+/// Script of a host that sends `frame` once and then stays silent.
+ScriptedPeer::Script sends_once(common::Bytes frame) {
+  return [frame](std::optional<common::BytesView> in)
+             -> std::vector<common::Bytes> {
+    if (in.has_value()) return {};
+    return {frame};
+  };
+}
 
 TEST(FailureInjectionTest, GarbageHandshakeRejected) {
   LeaderFixture f;
-  f.leader();  // attach the leader before the attacker speaks
-  auto mailbox = f.network.attach(node_id_of(1));
-  std::thread attacker([&] {
-    f.network.send(node_id_of(1), node_id_of(0),
-                   common::Bytes{0xde, 0xad, 0xbe, 0xef});
-  });
-  const auto result = f.run_leader();
-  attacker.join();
-  ASSERT_FALSE(result.ok());
+  ScriptedPeer attacker(0, sends_once(common::Bytes{0xde, 0xad, 0xbe, 0xef}));
+  const common::Status status = f.run({&attacker});
+  ASSERT_FALSE(status.ok());
   // Truncated/garbled handshake -> bad_message or attestation failure.
-  EXPECT_TRUE(result.error().code == common::Errc::bad_message ||
-              result.error().code == common::Errc::attestation_rejected)
-      << result.error().to_string();
+  EXPECT_TRUE(status.error().code == common::Errc::bad_message ||
+              status.error().code == common::Errc::attestation_rejected)
+      << status.error().to_string();
 }
 
 TEST(FailureInjectionTest, HandshakeFromUnknownNodeRejected) {
   LeaderFixture f;
-  f.leader();
-  f.network.attach(node_id_of(7));
-  std::thread attacker([&] {
-    f.network.send(node_id_of(7), node_id_of(0), common::Bytes{0x01});
-  });
-  const auto result = f.run_leader();
-  attacker.join();
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error().code, common::Errc::unknown_peer);
+  // GDO 7 is no member of a two-GDO study.
+  ScriptedPeer attacker(0, sends_once(common::Bytes{0x01}));
+  std::vector<ProtocolSession*> peers(7, nullptr);
+  peers[6] = &attacker;
+  const common::Status status = f.run(peers);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error().code, common::Errc::unknown_peer);
 }
 
 TEST(FailureInjectionTest, TamperedRecordDetected) {
   LeaderFixture f;
-  f.leader();
   // An honest member, but the "network" (this test) flips a bit in its
   // first protocol record before delivery.
-  auto member_mailbox = f.network.attach(node_id_of(1));
-  GdoEnclave member_enclave(f.member_platform, 1);
-  ASSERT_TRUE(
-      member_enclave.provision_dataset(f.cohort.cases.slice_rows(100, 200))
-          .ok());
-
-  std::thread member([&] {
-    auto channel = member_enclave.channel_to(trusted_module_measurement(),
-                                             /*initiator=*/true);
-    f.network.send(node_id_of(1), node_id_of(0),
-                   channel->handshake_message());
-    const auto leader_handshake = member_mailbox->receive();
-    ASSERT_TRUE(leader_handshake.has_value());
-    ASSERT_TRUE(channel->complete(leader_handshake->payload).ok());
-
-    // Receive the study announce, answer with summary stats - but corrupt
-    // the record on its way out (simulating a compromised host).
-    const auto announce_record = member_mailbox->receive();
-    ASSERT_TRUE(announce_record.has_value());
-    auto plaintext = channel->open(announce_record->payload);
-    ASSERT_TRUE(plaintext.ok());
-    auto opened = open_envelope(plaintext.value());
-    ASSERT_TRUE(opened.ok());
-    auto announce = StudyAnnounce::deserialize(opened.value().second);
-    ASSERT_TRUE(announce.ok());
-    ASSERT_TRUE(member_enclave.on_study_announce(announce.value()).ok());
-    auto record = channel->seal(envelope(
-        MsgType::summary_stats,
-        member_enclave.make_summary_stats().serialize()));
-    ASSERT_TRUE(record.ok());
-    common::Bytes corrupted = record.value();
-    corrupted[corrupted.size() / 2] ^= 0x01;
-    f.network.send(node_id_of(1), node_id_of(0), std::move(corrupted));
-  });
-
-  const auto result = f.run_leader();
-  member.join();
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error().code, common::Errc::decrypt_failed);
+  auto enclave = f.member_enclave();
+  ScriptedPeer member(
+      0, attested_member(*enclave, [](GdoEnclave& e,
+                                      tee::SecureChannel& channel) {
+        common::Bytes record = honest_summary(e, channel).front();
+        record[record.size() / 2] ^= 0x01;
+        return std::vector<common::Bytes>{record};
+      }));
+  const common::Status status = f.run({&member});
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error().code, common::Errc::decrypt_failed);
 }
 
 TEST(FailureInjectionTest, WrongMessageTypeRejected) {
   LeaderFixture f;
-  f.leader();
-  auto member_mailbox = f.network.attach(node_id_of(1));
-  GdoEnclave member_enclave(f.member_platform, 1);
-  ASSERT_TRUE(
-      member_enclave.provision_dataset(f.cohort.cases.slice_rows(100, 200))
-          .ok());
-
-  std::thread member([&] {
-    auto channel = member_enclave.channel_to(trusted_module_measurement(),
-                                             /*initiator=*/true);
-    f.network.send(node_id_of(1), node_id_of(0),
-                   channel->handshake_message());
-    const auto leader_handshake = member_mailbox->receive();
-    ASSERT_TRUE(leader_handshake.has_value());
-    ASSERT_TRUE(channel->complete(leader_handshake->payload).ok());
-    const auto announce_record = member_mailbox->receive();
-    ASSERT_TRUE(announce_record.has_value());
-    ASSERT_TRUE(channel->open(announce_record->payload).ok());
-    // Reply with a phase-3 message where summary stats are expected.
-    auto record =
-        channel->seal(envelope(MsgType::phase3_result,
-                               Phase3Result{{1, 2}, 0.0}.serialize()));
-    ASSERT_TRUE(record.ok());
-    f.network.send(node_id_of(1), node_id_of(0), std::move(record).take());
-  });
-
-  const auto result = f.run_leader();
-  member.join();
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error().code, common::Errc::state_violation);
+  auto enclave = f.member_enclave();
+  // Reply with a phase-3 message where summary stats are expected.
+  ScriptedPeer member(
+      0, attested_member(*enclave, [](GdoEnclave&,
+                                      tee::SecureChannel& channel) {
+        return std::vector<common::Bytes>{
+            sealed(channel, MsgType::phase3_result,
+                   Phase3Result{{1, 2}, 0.0}.serialize())};
+      }));
+  const common::Status status = f.run({&member});
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error().code, common::Errc::state_violation);
 }
 
 TEST(FailureInjectionTest, OversizedSummaryRejected) {
   LeaderFixture f;
-  f.leader();
-  auto member_mailbox = f.network.attach(node_id_of(1));
-  GdoEnclave member_enclave(f.member_platform, 1);
-  ASSERT_TRUE(
-      member_enclave.provision_dataset(f.cohort.cases.slice_rows(100, 200))
-          .ok());
-
-  std::thread member([&] {
-    auto channel = member_enclave.channel_to(trusted_module_measurement(),
-                                             /*initiator=*/true);
-    f.network.send(node_id_of(1), node_id_of(0),
-                   channel->handshake_message());
-    const auto leader_handshake = member_mailbox->receive();
-    ASSERT_TRUE(leader_handshake.has_value());
-    ASSERT_TRUE(channel->complete(leader_handshake->payload).ok());
-    const auto announce_record = member_mailbox->receive();
-    ASSERT_TRUE(announce_record.has_value());
-    ASSERT_TRUE(channel->open(announce_record->payload).ok());
-    // Claims counts over the wrong number of SNPs.
-    SummaryStats bogus;
-    bogus.case_counts.assign(9999, 1);
-    bogus.n_case = 100;
-    auto record =
-        channel->seal(envelope(MsgType::summary_stats, bogus.serialize()));
-    ASSERT_TRUE(record.ok());
-    f.network.send(node_id_of(1), node_id_of(0), std::move(record).take());
-  });
-
-  const auto result = f.run_leader();
-  member.join();
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error().code, common::Errc::bad_message);
+  auto enclave = f.member_enclave();
+  // Claims counts over the wrong number of SNPs.
+  ScriptedPeer member(
+      0, attested_member(*enclave, [](GdoEnclave&,
+                                      tee::SecureChannel& channel) {
+        SummaryStats bogus;
+        bogus.case_counts.assign(9999, 1);
+        bogus.n_case = 100;
+        return std::vector<common::Bytes>{
+            sealed(channel, MsgType::summary_stats, bogus.serialize())};
+      }));
+  const common::Status status = f.run({&member});
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error().code, common::Errc::bad_message);
 }
 
 TEST(FailureInjectionTest, MissingMomentsAbortLdPhase) {
@@ -277,72 +226,34 @@ TEST(CheckpointTest, TamperedCheckpointRejected) {
 // Liveness: deadlines, dead-GDO degraded mode, abort notices. A GDO that
 // stops responding mid-phase must terminate the study within the configured
 // deadline (Errc::timeout naming the peer) - or, when the collusion policy
-// leaves a combination without it, let the survivors finish.
+// leaves a combination without it, let the survivors finish. Deadlines run
+// on the pump's virtual clock.
 // ---------------------------------------------------------------------------
-
-/// Handshakes with the leader from `gdo` and answers the study announce with
-/// honest summary stats, then goes silent: a GDO crash right after phase 1
-/// input submission. Runs on the calling thread.
-void run_member_until_summary(net::Network& network, GdoEnclave& enclave,
-                              std::shared_ptr<net::Mailbox> mailbox,
-                              std::uint32_t gdo, std::uint32_t leader) {
-  auto channel = enclave.channel_to(trusted_module_measurement(),
-                                    /*initiator=*/true);
-  network.send(node_id_of(gdo), node_id_of(leader),
-               channel->handshake_message());
-  const auto leader_handshake = mailbox->receive();
-  ASSERT_TRUE(leader_handshake.has_value());
-  ASSERT_TRUE(channel->complete(leader_handshake->payload).ok());
-  const auto announce_record = mailbox->receive();
-  ASSERT_TRUE(announce_record.has_value());
-  auto plaintext = channel->open(announce_record->payload);
-  ASSERT_TRUE(plaintext.ok());
-  auto opened = open_envelope(plaintext.value());
-  ASSERT_TRUE(opened.ok());
-  auto announce = StudyAnnounce::deserialize(opened.value().second);
-  ASSERT_TRUE(announce.ok());
-  ASSERT_TRUE(enclave.on_study_announce(announce.value()).ok());
-  auto record = channel->seal(envelope(
-      MsgType::summary_stats, enclave.make_summary_stats().serialize()));
-  ASSERT_TRUE(record.ok());
-  network.send(node_id_of(gdo), node_id_of(leader), std::move(record).take());
-}
 
 TEST(LivenessTest, MissingMemberTimesOutHandshake) {
   LeaderFixture f;
   f.leader().set_receive_timeout(std::chrono::milliseconds(100));
-  const auto start = std::chrono::steady_clock::now();
-  const auto result = f.run_leader();  // member 1 never shows up
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error().code, common::Errc::timeout);
-  EXPECT_NE(result.error().message.find("1"), std::string::npos)
-      << result.error().to_string();
-  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10));
+  const common::Status status = f.run({});  // member 1 never shows up
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error().code, common::Errc::timeout);
+  EXPECT_NE(status.error().message.find("1"), std::string::npos)
+      << status.error().to_string();
 }
 
 TEST(LivenessTest, SilentMemberAfterSummaryTimesOutStudy) {
   LeaderFixture f;
   f.leader().set_receive_timeout(std::chrono::milliseconds(250));
-  auto member_mailbox = f.network.attach(node_id_of(1));
-  GdoEnclave member_enclave(f.member_platform, 1);
-  ASSERT_TRUE(
-      member_enclave.provision_dataset(f.cohort.cases.slice_rows(100, 200))
-          .ok());
-  std::thread member([&] {
-    run_member_until_summary(f.network, member_enclave, member_mailbox, 1, 0);
-  });
-  const auto start = std::chrono::steady_clock::now();
-  const auto result = f.run_leader();
-  member.join();
-  ASSERT_FALSE(result.ok());
+  auto enclave = f.member_enclave();
+  ScriptedPeer member(0, attested_member(*enclave, honest_summary));
+  const common::Status status = f.run({&member});
+  ASSERT_FALSE(status.ok());
   // The sole combination needs GDO 1's moments: its silence kills the study.
-  EXPECT_EQ(result.error().code, common::Errc::timeout);
-  EXPECT_NE(result.error().message.find("1"), std::string::npos)
-      << result.error().to_string();
-  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10));
+  EXPECT_EQ(status.error().code, common::Errc::timeout);
+  EXPECT_NE(status.error().message.find("1"), std::string::npos)
+      << status.error().to_string();
 }
 
-/// Three-GDO federation with leader GDO 0, one honest MemberNode (GDO 1) and
+/// Three-GDO federation with leader GDO 0, one honest member (GDO 1) and
 /// one member that crashes after submitting its summary (GDO 2).
 struct ThreeGdoFixture {
   genome::Cohort cohort;
@@ -353,7 +264,6 @@ struct ThreeGdoFixture {
                           crypto::Csprng(std::array<std::uint8_t, 32>{2})};
   tee::Platform platform2{3, authority,
                           crypto::Csprng(std::array<std::uint8_t, 32>{3})};
-  net::Network network;
 
   ThreeGdoFixture() {
     genome::CohortSpec spec;
@@ -376,61 +286,48 @@ struct ThreeGdoFixture {
 TEST(LivenessTest, RedundantCombinationSurvivesDeadGdo) {
   ThreeGdoFixture f;
   // f = 1: combinations {0,1}, {0,2}, {1,2} - losing GDO 2 leaves {0,1}.
-  LeaderNode leader(f.network, f.platform0, 0, 3,
-                    f.cohort.cases.slice_rows(0, 100), f.cohort.controls,
-                    f.announce(CollusionPolicy::fixed(1)));
+  LeaderSession leader(f.platform0, 0, 3, f.cohort.cases.slice_rows(0, 100),
+                       f.cohort.controls,
+                       f.announce(CollusionPolicy::fixed(1)));
   leader.set_receive_timeout(std::chrono::milliseconds(250));
-  MemberNode honest(f.network, f.platform1, 1, 0,
-                    f.cohort.cases.slice_rows(100, 200));
+  MemberSession honest(f.platform1, 1, 0, f.cohort.cases.slice_rows(100, 200));
   honest.set_receive_timeout(std::chrono::milliseconds(5000));
-  auto mailbox2 = f.network.attach(node_id_of(2));
   GdoEnclave enclave2(f.platform2, 2);
   ASSERT_TRUE(
       enclave2.provision_dataset(f.cohort.cases.slice_rows(200, 300)).ok());
-  honest.start();
-  std::thread crashing([&] {
-    run_member_until_summary(f.network, enclave2, mailbox2, 2, 0);
-  });
+  ScriptedPeer crashing(0, attested_member(enclave2, honest_summary));
 
-  const auto result = leader.run_study(nullptr);
-  crashing.join();
-  honest.join();
-  ASSERT_TRUE(result.ok()) << result.error().to_string();
-  EXPECT_EQ(result.value().dead_gdos, (std::vector<std::uint32_t>{2}));
-  ASSERT_TRUE(honest.status().ok()) << honest.status().error().to_string();
+  pump_federation({&leader, &honest, &crashing});
+  ASSERT_EQ(leader.wants(), SessionWants::done)
+      << leader.status().error().to_string();
+  EXPECT_EQ(leader.result().dead_gdos, (std::vector<std::uint32_t>{2}));
+  ASSERT_EQ(honest.wants(), SessionWants::done)
+      << honest.status().error().to_string();
   // The surviving member converges on the same safe set as the leader.
   EXPECT_TRUE(honest.enclave().study_complete());
-  EXPECT_EQ(honest.enclave().safe_snps(), result.value().outcome.l_safe);
+  EXPECT_EQ(honest.enclave().safe_snps(), leader.result().outcome.l_safe);
 }
 
 TEST(LivenessTest, SurvivingMemberReceivesAbortNotice) {
   ThreeGdoFixture f;
   // No redundancy: the single combination {0,1,2} dies with GDO 2, and the
   // leader must tell the surviving member instead of leaving it waiting.
-  LeaderNode leader(f.network, f.platform0, 0, 3,
-                    f.cohort.cases.slice_rows(0, 100), f.cohort.controls,
-                    f.announce(CollusionPolicy::none()));
+  LeaderSession leader(f.platform0, 0, 3, f.cohort.cases.slice_rows(0, 100),
+                       f.cohort.controls, f.announce(CollusionPolicy::none()));
   leader.set_receive_timeout(std::chrono::milliseconds(250));
-  MemberNode honest(f.network, f.platform1, 1, 0,
-                    f.cohort.cases.slice_rows(100, 200));
+  MemberSession honest(f.platform1, 1, 0, f.cohort.cases.slice_rows(100, 200));
   honest.set_receive_timeout(std::chrono::milliseconds(10000));
-  auto mailbox2 = f.network.attach(node_id_of(2));
   GdoEnclave enclave2(f.platform2, 2);
   ASSERT_TRUE(
       enclave2.provision_dataset(f.cohort.cases.slice_rows(200, 300)).ok());
-  honest.start();
-  std::thread crashing([&] {
-    run_member_until_summary(f.network, enclave2, mailbox2, 2, 0);
-  });
+  ScriptedPeer crashing(0, attested_member(enclave2, honest_summary));
 
-  const auto result = leader.run_study(nullptr);
-  crashing.join();
-  honest.join();
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error().code, common::Errc::timeout);
-  EXPECT_NE(result.error().message.find("2"), std::string::npos)
-      << result.error().to_string();
-  ASSERT_FALSE(honest.status().ok());
+  pump_federation({&leader, &honest, &crashing});
+  ASSERT_EQ(leader.wants(), SessionWants::failed);
+  EXPECT_EQ(leader.status().error().code, common::Errc::timeout);
+  EXPECT_NE(leader.status().error().message.find("2"), std::string::npos)
+      << leader.status().error().to_string();
+  ASSERT_EQ(honest.wants(), SessionWants::failed);
   EXPECT_EQ(honest.status().error().code, common::Errc::aborted)
       << honest.status().error().to_string();
 }

@@ -12,13 +12,12 @@
 
 #include <chrono>
 #include <memory>
-#include <thread>
 
 #include "gendpr/federation.hpp"
-#include "gendpr/node.hpp"
 #include "gendpr/trusted.hpp"
 #include "genome/cohort.hpp"
 #include "obs/observability.hpp"
+#include "session_pump.hpp"
 
 namespace gendpr::core {
 namespace {
@@ -125,34 +124,6 @@ TEST(PruneEquivalenceTest, PrunedSweepDoesMeasurablyLessWork) {
             obs_unpruned.metrics.counter("lr.reference_matvecs"));
 }
 
-/// Handshakes with the leader from `gdo`, answers the announce with honest
-/// summary stats, then goes silent — a crash right after phase-1 input
-/// submission (mirrors the liveness tests in failure_injection_test.cpp).
-void run_member_until_summary(net::Network& network, GdoEnclave& enclave,
-                              std::shared_ptr<net::Mailbox> mailbox,
-                              std::uint32_t gdo, std::uint32_t leader) {
-  auto channel = enclave.channel_to(trusted_module_measurement(),
-                                    /*initiator=*/true);
-  network.send(node_id_of(gdo), node_id_of(leader),
-               channel->handshake_message());
-  const auto leader_handshake = mailbox->receive();
-  ASSERT_TRUE(leader_handshake.has_value());
-  ASSERT_TRUE(channel->complete(leader_handshake->payload).ok());
-  const auto announce_record = mailbox->receive();
-  ASSERT_TRUE(announce_record.has_value());
-  auto plaintext = channel->open(announce_record->payload);
-  ASSERT_TRUE(plaintext.ok());
-  auto opened = open_envelope(plaintext.value());
-  ASSERT_TRUE(opened.ok());
-  auto announce = StudyAnnounce::deserialize(opened.value().second);
-  ASSERT_TRUE(announce.ok());
-  ASSERT_TRUE(enclave.on_study_announce(announce.value()).ok());
-  auto record = channel->seal(envelope(
-      MsgType::summary_stats, enclave.make_summary_stats().serialize()));
-  ASSERT_TRUE(record.ok());
-  network.send(node_id_of(gdo), node_id_of(leader), std::move(record).take());
-}
-
 TEST(PruneEquivalenceTest, DegradedRunsStayBitIdentical) {
   // GDO 2 submits its summary, then goes silent; the leader declares it
   // dead mid-walk. The pruned sweep's pass restart must land on the same
@@ -172,8 +143,6 @@ TEST(PruneEquivalenceTest, DegradedRunsStayBitIdentical) {
                             crypto::Csprng(std::array<std::uint8_t, 32>{2})};
     tee::Platform platform2{3, authority,
                             crypto::Csprng(std::array<std::uint8_t, 32>{3})};
-    net::Network network;
-
     StudyAnnounce announce;
     announce.study_id = 1;
     announce.num_snps = static_cast<std::uint32_t>(cohort.cases.num_snps());
@@ -182,25 +151,19 @@ TEST(PruneEquivalenceTest, DegradedRunsStayBitIdentical) {
     announce.combinations =
         Coordinator::build_combinations(3, CollusionPolicy::fixed(1));
 
-    LeaderNode leader(network, platform0, 0, 3,
-                      cohort.cases.slice_rows(0, 100), cohort.controls,
-                      announce);
+    LeaderSession leader(platform0, 0, 3, cohort.cases.slice_rows(0, 100),
+                         cohort.controls, announce);
     leader.set_receive_timeout(std::chrono::milliseconds(250));
-    MemberNode honest(network, platform1, 1, 0,
-                      cohort.cases.slice_rows(100, 200));
+    MemberSession honest(platform1, 1, 0, cohort.cases.slice_rows(100, 200));
     honest.set_receive_timeout(std::chrono::milliseconds(5000));
-    auto mailbox2 = network.attach(node_id_of(2));
     GdoEnclave enclave2(platform2, 2);
     EXPECT_TRUE(
         enclave2.provision_dataset(cohort.cases.slice_rows(200, 300)).ok());
-    honest.start();
-    std::thread crashing([&] {
-      run_member_until_summary(network, enclave2, mailbox2, 2, 0);
-    });
+    // GDO 2 submits its summary, then crashes.
+    ScriptedPeer crashing(0, attested_member(enclave2, honest_summary));
 
-    auto result = leader.run_study(nullptr);
-    crashing.join();
-    honest.join();
+    pump_federation({&leader, &honest, &crashing});
+    auto result = outcome_of(leader);
     EXPECT_TRUE(result.ok()) << (result.ok() ? ""
                                              : result.error().to_string());
     if (result.ok()) {

@@ -1,11 +1,10 @@
 // Step-level tests of the sans-IO protocol sessions: a whole federation is
 // pumped one step() at a time with no transport, no threads, and no clock
 // beyond the TimePoints the test chooses to report. The same surface the
-// epoll driver and the fuzz harnesses use.
+// event-loop driver and the fuzz harnesses use.
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -13,45 +12,13 @@
 #include "gendpr/messages.hpp"
 #include "gendpr/session.hpp"
 #include "gendpr/trusted.hpp"
+#include "session_pump.hpp"
 #include "tee/attestation.hpp"
 
 namespace gendpr::core {
 namespace {
 
 using Clock = ProtocolSession::Clock;
-
-/// One delivered frame of a pumped federation, in delivery order.
-struct TranscriptEntry {
-  std::uint32_t from = 0;
-  std::uint32_t to = 0;
-  common::Bytes payload;
-};
-
-/// Routes frames between the sessions (indexed by GDO) until no session has
-/// output left, recording every delivery. Breadth-first FIFO order, so the
-/// transcript is deterministic.
-std::vector<TranscriptEntry> pump_federation(
-    std::vector<ProtocolSession*> sessions) {
-  std::deque<TranscriptEntry> in_flight;
-  const auto collect = [&](std::uint32_t from, std::vector<OutFrame> frames) {
-    for (OutFrame& frame : frames) {
-      in_flight.push_back(TranscriptEntry{
-          from, frame.to_gdo, std::move(frame.payload).take_payload()});
-    }
-  };
-  for (std::uint32_t g = 0; g < sessions.size(); ++g) {
-    collect(g, sessions[g]->step({}));
-  }
-  std::vector<TranscriptEntry> transcript;
-  while (!in_flight.empty()) {
-    TranscriptEntry entry = std::move(in_flight.front());
-    in_flight.pop_front();
-    transcript.push_back(entry);
-    collect(entry.to,
-            sessions[entry.to]->step({InFrame{entry.from, entry.payload}}));
-  }
-  return transcript;
-}
 
 /// Fixed 3-GDO study material shared by the tests below (leader = GDO 0).
 struct StudyFixture {

@@ -1,4 +1,4 @@
-// Write-side backpressure under a slow reader, for both hub flavors: the
+// Write-side backpressure of the socket hub under a slow reader: the
 // per-connection queue stays bounded by the watermark (no OOM from one stuck
 // peer), pause/resume fire exactly at the high/low marks, a paused link
 // never head-of-line-blocks a healthy sibling, and killing the peer in the
@@ -19,7 +19,6 @@
 
 #include "net/epoll_hub.hpp"
 #include "net/event_loop.hpp"
-#include "net/uring_hub.hpp"
 
 namespace gendpr::net {
 namespace {
@@ -85,23 +84,14 @@ struct SlowReader {
   }
 };
 
+/// Parameterized by transport name; EpollHub is the only hub with a write
+/// queue (MemHub hands frames over without queueing, so it never pauses).
 class BackpressureTest : public ::testing::TestWithParam<const char*> {
  protected:
-  std::unique_ptr<Hub> make_hub(EventLoop& loop, NodeId self) {
-    if (std::string(GetParam()) == "uring") {
-      auto hub = UringHub::create(loop, self, 0);
-      EXPECT_TRUE(hub.ok());
-      return std::move(hub).take();
-    }
+  std::unique_ptr<EpollHub> make_hub(EventLoop& loop, NodeId self) {
     auto hub = EpollHub::create(loop, self, 0);
     EXPECT_TRUE(hub.ok());
     return std::move(hub).take();
-  }
-
-  void SetUp() override {
-    if (std::string(GetParam()) == "uring" && !UringHub::available()) {
-      GTEST_SKIP() << "io_uring not available on this kernel";
-    }
   }
 };
 
@@ -180,9 +170,10 @@ TEST_P(BackpressureTest, PausedPeerDoesNotBlockASibling) {
   auto fast = EpollHub::create(loop, 2, 0);
   ASSERT_TRUE(fast.ok());
   std::map<NodeId, std::vector<common::Bytes>> fast_received;
-  fast.value()->set_frame_handler([&](NodeId from, common::BytesView payload) {
-    fast_received[from].push_back(common::Bytes(payload.begin(), payload.end()));
-  });
+  fast.value()->set_frame_handler(
+      [&](NodeId from, common::BytesView payload, wire::WireBuffer*) {
+        fast_received[from].emplace_back(payload.begin(), payload.end());
+      });
 
   hub->connect_peer(1, "127.0.0.1", reader.port);
   hub->connect_peer(2, "127.0.0.1", fast.value()->port());
@@ -235,7 +226,7 @@ TEST_P(BackpressureTest, KillingPeerMidPartialWriteReleasesThePause) {
   EXPECT_FALSE(hub->is_connected(1));
   EXPECT_EQ(hub->backpressure().resumes, 1u);
   // Teardown with the dead conn's queue still populated must be clean
-  // (ASan/LSan guard the buffers, the uring drain guards the kernel ops).
+  // (ASan/LSan guard the buffers).
 }
 
 std::string transport_name(
@@ -244,7 +235,7 @@ std::string transport_name(
 }
 
 INSTANTIATE_TEST_SUITE_P(Transports, BackpressureTest,
-                         ::testing::Values("epoll", "uring"),
+                         ::testing::Values("epoll"),
                          transport_name);
 
 }  // namespace

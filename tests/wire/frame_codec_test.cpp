@@ -27,7 +27,7 @@ struct ExpectedFrame {
 /// and one payload larger than any single chunk used below.
 std::vector<ExpectedFrame> test_frames() {
   std::vector<ExpectedFrame> frames;
-  frames.push_back({7, {}});  // classic empty hello
+  frames.push_back({7, {}});  // empty hello
   frames.push_back({7, {0x01}});
   common::Bytes medium(57);
   for (std::size_t i = 0; i < medium.size(); ++i) {
@@ -153,27 +153,26 @@ TEST(FrameCodecTest, StraddlingFramesSurvivePooledBufferReuse) {
   }
 }
 
-TEST(FrameCodecTest, HelloFramesDecodeStudyIds) {
+TEST(FrameCodecTest, HelloFramesAreEmptyAndNameTheSender) {
   FrameDecoder decoder;
-  common::Bytes stream = encode_hello(3, 0);
-  const common::Bytes named = encode_hello(4, 0x1122334455667788ULL);
-  stream.insert(stream.end(), named.begin(), named.end());
+  common::Bytes stream = encode_hello(3);
+  EXPECT_EQ(stream.size(), kFrameHeaderBytes);
+  const common::Bytes data = encode_frame(3, common::Bytes{0x01});
+  stream.insert(stream.end(), data.begin(), data.end());
   decoder.feed(common::BytesView(stream.data(), stream.size()));
 
-  auto classic = decoder.next();
-  ASSERT_TRUE(classic.ok());
-  ASSERT_TRUE(classic.value().has_value());
-  EXPECT_EQ(classic.value()->from, 3u);
-  EXPECT_TRUE(classic.value()->is_hello());
-  ASSERT_TRUE(classic.value()->hello_study().has_value());
-  EXPECT_EQ(*classic.value()->hello_study(), 0u);
+  auto hello = decoder.next();
+  ASSERT_TRUE(hello.ok());
+  ASSERT_TRUE(hello.value().has_value());
+  EXPECT_EQ(hello.value()->from, 3u);
+  EXPECT_TRUE(hello.value()->is_hello());
 
-  auto multiplexed = decoder.next();
-  ASSERT_TRUE(multiplexed.ok());
-  ASSERT_TRUE(multiplexed.value().has_value());
-  EXPECT_EQ(multiplexed.value()->from, 4u);
-  ASSERT_TRUE(multiplexed.value()->hello_study().has_value());
-  EXPECT_EQ(*multiplexed.value()->hello_study(), 0x1122334455667788ULL);
+  // Any payload makes a frame no hello: a connection whose first frame
+  // carries data is cut by the accepting hub.
+  auto frame = decoder.next();
+  ASSERT_TRUE(frame.ok());
+  ASSERT_TRUE(frame.value().has_value());
+  EXPECT_FALSE(frame.value()->is_hello());
 }
 
 TEST(FrameCodecTest, MalformedHeaderIsUnrecoverable) {

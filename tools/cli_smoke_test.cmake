@@ -1,16 +1,21 @@
 # Drives the CLI end to end: generate a cohort, assess it, write a release.
+# `gen` gets a nested path that does not exist yet: it must create the
+# directory and its missing parents.
 file(REMOVE_RECURSE ${WORKDIR})
-file(MAKE_DIRECTORY ${WORKDIR})
+set(COHORT ${WORKDIR}/nested/cohort)
 
 execute_process(
-  COMMAND ${CLI} gen ${WORKDIR} --cases 400 --controls 400 --snps 120 --gdos 3
+  COMMAND ${CLI} gen ${COHORT} --cases 400 --controls 400 --snps 120 --gdos 3
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "gendpr gen failed (${rc})")
 endif()
+if(NOT EXISTS ${COHORT}/reference.vcf)
+  message(FATAL_ERROR "gendpr gen did not write ${COHORT}/reference.vcf")
+endif()
 
 execute_process(
-  COMMAND ${CLI} assess ${WORKDIR} --gdos 3 --report ${WORKDIR}/report.json
+  COMMAND ${CLI} assess ${COHORT} --gdos 3 --report ${WORKDIR}/report.json
   RESULT_VARIABLE rc OUTPUT_VARIABLE out)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "gendpr assess failed (${rc})")
@@ -30,7 +35,7 @@ if(NOT report MATCHES "phase.maf")
 endif()
 
 execute_process(
-  COMMAND ${CLI} release ${WORKDIR} --gdos 3 --out ${WORKDIR}/release.tsv
+  COMMAND ${CLI} release ${COHORT} --gdos 3 --out ${WORKDIR}/release.tsv
           --dp-epsilon 1.0
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
@@ -42,4 +47,32 @@ endif()
 file(READ ${WORKDIR}/release.tsv tsv)
 if(NOT tsv MATCHES "snp\tmode\tcase_count")
   message(FATAL_ERROR "release.tsv missing header")
+endif()
+
+# Exactly two transports exist; anything else (uring, tcp) is a usage
+# error, never a silent fallback.
+foreach(transport uring tcp)
+  execute_process(
+    COMMAND ${CLI} assess ${COHORT} --gdos 3 --transport ${transport}
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(rc EQUAL 0)
+    message(FATAL_ERROR "--transport ${transport} was accepted: ${out}")
+  endif()
+  if(NOT err MATCHES "usage: gendpr")
+    message(FATAL_ERROR "--transport ${transport} printed no usage: ${err}")
+  endif()
+endforeach()
+foreach(transport in_process epoll)
+  execute_process(
+    COMMAND ${CLI} release ${COHORT} --gdos 3 --transport ${transport}
+            --out ${WORKDIR}/release_${transport}.tsv
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "gendpr release --transport ${transport} failed (${rc})")
+  endif()
+endforeach()
+file(READ ${WORKDIR}/release_in_process.tsv tsv_in_process)
+file(READ ${WORKDIR}/release_epoll.tsv tsv_epoll)
+if(NOT tsv_in_process STREQUAL tsv_epoll)
+  message(FATAL_ERROR "in_process and epoll releases differ")
 endif()

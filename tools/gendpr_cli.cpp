@@ -5,7 +5,7 @@
 //          [--seed S]
 //       Generates a synthetic cohort, splits the cases into per-GDO signed
 //       VCF-lite files under <dir> (plus the reference panel), and writes a
-//       roster manifest.
+//       roster manifest. Creates <dir> and any missing parents.
 //   gendpr assess <dir> [--gdos G] [--f F | --conservative] [--maf C]
 //          [--ld C] [--fpr R] [--power P] [--seed S] [--tile-width W]
 //          [--epc-mb M]
@@ -17,6 +17,7 @@
 //       (the paper's §5.5 hybrid release).
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <optional>
 #include <string>
 #include <vector>
@@ -47,7 +48,8 @@ struct Args {
   std::optional<double> dp_epsilon;
   std::string out = "release.tsv";
   std::string report;
-  std::string transport;  // "", "in_process", "epoll", "uring"
+  core::FederationSpec::TransportMode transport =
+      core::FederationSpec::TransportMode::in_process;
   std::uint32_t event_loops = 1;
 };
 
@@ -61,7 +63,7 @@ void usage() {
                "           --epc-mb M (per-enclave EPC limit, MiB)\n"
                "           --no-prune (disable intersection-aware sweep "
                "pruning)\n"
-               "           --transport in_process|epoll|uring "
+               "           --transport in_process|epoll "
                "--event-loops N\n"
                "  release: assess options plus --out FILE --dp-epsilon E\n");
 }
@@ -114,7 +116,14 @@ bool parse_args(int argc, char** argv, Args& args) {
     } else if (flag == "--report") {
       args.report = value;
     } else if (flag == "--transport") {
-      args.transport = value;
+      if (std::strcmp(value, "in_process") == 0) {
+        args.transport = core::FederationSpec::TransportMode::in_process;
+      } else if (std::strcmp(value, "epoll") == 0) {
+        args.transport = core::FederationSpec::TransportMode::epoll;
+      } else {
+        std::fprintf(stderr, "unknown transport: %s\n", value);
+        return false;
+      }
     } else if (flag == "--event-loops") {
       args.event_loops =
           static_cast<std::uint32_t>(std::strtoul(value, nullptr, 10));
@@ -139,6 +148,14 @@ common::Bytes roster_key() {
 }
 
 int cmd_gen(const Args& args) {
+  std::error_code ec;
+  std::filesystem::create_directories(args.dir, ec);
+  if (ec) {
+    std::fprintf(stderr, "cannot create %s: %s\n", args.dir.c_str(),
+                 ec.message().c_str());
+    return 1;
+  }
+
   genome::CohortSpec spec;
   spec.num_case = args.cases;
   spec.num_control = args.controls;
@@ -221,16 +238,7 @@ common::Result<core::StudyResult> run_assessment(const Args& args,
   spec.epc_limit = args.epc_limit;
   spec.obs = obs;
   spec.event_loops = args.event_loops == 0 ? 1 : args.event_loops;
-  if (args.transport == "epoll") {
-    spec.transport = core::FederationSpec::TransportMode::epoll;
-  } else if (args.transport == "uring") {
-    spec.transport = core::FederationSpec::TransportMode::uring;
-  } else if (args.transport == "in_process") {
-    spec.transport = core::FederationSpec::TransportMode::in_process;
-  } else if (!args.transport.empty()) {
-    std::fprintf(stderr, "unknown --transport '%s', using in_process\n",
-                 args.transport.c_str());
-  }
+  spec.transport = args.transport;
   if (args.conservative) {
     spec.policy = core::CollusionPolicy::conservative();
   } else if (args.f.has_value()) {
