@@ -1,7 +1,8 @@
 // Ablation: §5.6's claim that combination evaluations "can be efficiently
 // conducted in parallel inside the leader enclave". Runs the same
-// collusion-tolerant study with the leader's per-combination LR selection
-// parallelized vs serialized.
+// collusion-tolerant study with the leader's LR selections given a thread
+// pool vs run serially. The intersection-aware sweep evaluates combinations
+// one at a time, so the pool parallelizes inside each selection.
 //
 // Note: on a single-core host the two are expected to tie; the bench also
 // reports the combination count so the reader can relate speedup to

@@ -21,19 +21,6 @@ struct StudyConfig {
   /// while members stream tile k+1. Tiling never changes results: the
   /// assembled per-phase state is independent of the tile boundaries.
   std::uint32_t snp_tile_width = 0;
-  /// Intersection-aware pruning of the collusion-tolerant combination
-  /// sweep. When on (the default), the coordinator orders combinations
-  /// smallest-case-population first, intersects the per-combination
-  /// survivor sets eagerly, and restricts per-combination work to
-  /// transforms that provably cannot change the released sets: the MAF
-  /// pass evaluates only SNPs still surviving the running mask, chi²
-  /// ranks are computed for L' survivors only, LD walks stop once every
-  /// running-intersection member's fate is decided, emptied intersections
-  /// skip the remaining combinations, and LR matrices chain through
-  /// per-column delta updates instead of full basis derivations. The
-  /// released L'/L''/L_safe sets are bit-identical with pruning on or
-  /// off; only the work (and its counters) shrinks.
-  bool prune = true;
 
   bool operator==(const StudyConfig&) const = default;
 };

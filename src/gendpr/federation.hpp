@@ -46,8 +46,10 @@ struct FederationSpec {
   std::uint64_t seed = 7;
   /// Simulated EPC limit per platform.
   std::uint64_t epc_limit = tee::EpcMeter::kDefaultLimitBytes;
-  /// Evaluate per-combination LR selections in parallel inside the leader
-  /// enclave (§5.6: "efficiently conducted in parallel").
+  /// Give the leader enclave a thread pool for the LR phase (§5.6:
+  /// "efficiently conducted in parallel"). Combinations are evaluated one
+  /// at a time by the eager intersection fold; the pool parallelises each
+  /// safe-subset selection.
   bool parallel_combinations = true;
   /// Deadline for every protocol wait on every node, in milliseconds.
   /// 0 preserves the paper's original semantics (block forever). With a

@@ -99,7 +99,6 @@ obs::JsonValue make_run_report(const StudyResult& study,
   report.set("pipeline", std::move(pipeline));
 
   JsonValue pruning = JsonValue::object();
-  pruning.set("enabled", study.pruning.enabled);
   auto mask_array = [](const std::vector<std::uint32_t>& sizes) {
     JsonValue arr = JsonValue::array();
     for (std::uint32_t size : sizes) arr.push_back(size);

@@ -411,24 +411,16 @@ ProtocolSession::Main MemberSession::run_protocol() {
         auto result = Phase2Result::deserialize(body);
         if (!result.ok()) co_return result.error();
         const Stopwatch compute_watch;
-        auto matrices = enclave_.on_phase2(result.value(), pool_);
+        auto matrices = enclave_.on_phase2(result.value());
         compute_ms_ += compute_watch.elapsed_ms();
         if (!matrices.ok()) co_return matrices.error();
         // One basis build per tile iff this GDO sat in any live combination,
         // plus one basis-times-weights derivation per entry. The per-tile
         // basis bounds this member's transient EPC footprint at O(tile).
-        // Under the intersection-aware sweep only the chain head is a full
-        // derivation; the rest are in-place delta updates.
         if (!matrices.value().entries.empty()) {
           obs::add_counter(obs_, "lr.basis_builds");
-          if (enclave_.prune_enabled()) {
-            obs::add_counter(obs_, "lr.combination_matvecs");
-            obs::add_counter(obs_, "lr.combination_delta_updates",
-                             matrices.value().entries.size() - 1);
-          } else {
-            obs::add_counter(obs_, "lr.combination_matvecs",
-                             matrices.value().entries.size());
-          }
+          obs::add_counter(obs_, "lr.combination_matvecs",
+                           matrices.value().entries.size());
         }
         obs::max_gauge(obs_, "epc.member.peak_bytes",
                        static_cast<double>(enclave_.platform().epc().peak()));
@@ -806,9 +798,9 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
     // only its own seal (send_staged).
     StagedMessage staging = stage_envelope(MsgType::moments_request, request);
     sync_dead_peers();
-    // The coordinator names the recipients (all live members on a legacy
-    // first touch, just the combination at hand under pruning); members that
-    // died since the request was composed are dropped here.
+    // The coordinator names the recipients (the members of the combination
+    // at hand whose slot is still empty); members that died since the
+    // request was composed are dropped here.
     const std::set<std::uint32_t> live = live_members();
     std::set<std::uint32_t> fetch_pending;
     for (std::uint32_t g : targets) {

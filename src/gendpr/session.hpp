@@ -339,7 +339,6 @@ class MemberSession : public ProtocolSession {
   }
 
   void set_observability(obs::Observability* obs) noexcept { obs_ = obs; }
-  void set_pool(common::ThreadPool* pool) noexcept { pool_ = pool; }
 
   const GdoEnclave& enclave() const noexcept { return enclave_; }
   double compute_ms() const noexcept { return compute_ms_; }
@@ -358,7 +357,6 @@ class MemberSession : public ProtocolSession {
   common::Status provision_status_;
   double compute_ms_ = 0;
   obs::Observability* obs_ = nullptr;
-  common::ThreadPool* pool_ = nullptr;
 };
 
 /// Leader-side protocol session: establishes channels to every member, then
@@ -379,7 +377,7 @@ class LeaderSession : public ProtocolSession {
     study_span_ = study_span;
     coordinator_.set_observability(obs, study_span);
   }
-  /// Thread pool for the LR phase's per-combination evaluation (nullptr =
+  /// Thread pool for the LR phase's safe-subset selections (nullptr =
   /// serial). Call before start().
   void set_pool(common::ThreadPool* pool) noexcept { pool_ = pool; }
 

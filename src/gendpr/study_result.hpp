@@ -93,7 +93,7 @@ struct StudyResult {
   std::size_t maf_tiles_assessed_inline = 0;
   double leader_inline_assess_ms = 0;
   double leader_lr_derive_ms = 0;
-  /// Intersection-aware sweep bookkeeping (zeros / empty when pruning off).
+  /// Intersection-aware sweep bookkeeping.
   PruningStats pruning;
 };
 

@@ -164,34 +164,6 @@ LrMatrix LrBasis::derive(const LrWeights& weights) const {
   return derive(weights, identity);
 }
 
-std::size_t LrBasis::derive_update(const LrWeights& prev,
-                                   const LrWeights& next,
-                                   LrMatrix& matrix) const {
-  if (matrix.rows() != rows_ || matrix.cols() != cols_) {
-    throw std::invalid_argument("derive_update: matrix shape mismatch");
-  }
-  std::vector<std::uint32_t> changed;
-  for (std::size_t i = 0; i < cols_; ++i) {
-    if (prev.when_minor[i] != next.when_minor[i] ||
-        prev.when_major[i] != next.when_major[i]) {
-      changed.push_back(static_cast<std::uint32_t>(i));
-    }
-  }
-  if (changed.empty()) return 0;
-  // Every changed cell is the same two-way select derive() would emit;
-  // rows stay the hot loop so writes walk each row-major row once.
-  double* out = matrix.values().data();
-  const std::uint8_t* ind = indicator_.data();
-  for (std::size_t n = 0; n < rows_; ++n) {
-    double* row_out = out + n * cols_;
-    const std::uint8_t* row_ind = ind + n * cols_;
-    for (std::uint32_t i : changed) {
-      row_out[i] = row_ind[i] != 0 ? next.when_minor[i] : next.when_major[i];
-    }
-  }
-  return changed.size();
-}
-
 double detection_power(const std::vector<double>& case_scores,
                        const std::vector<double>& reference_scores,
                        double false_positive_rate, double* threshold_out,

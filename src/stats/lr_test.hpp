@@ -129,16 +129,6 @@ class LrBasis {
   /// Identity-mapped overload (weight column i corresponds to basis col i).
   LrMatrix derive(const LrWeights& weights) const;
 
-  /// Delta-evaluation for the intersection-aware combination sweep:
-  /// `matrix` must be this basis's derive() result for `prev` (identity
-  /// mapping); it is updated in place to derive(next) by recomputing only
-  /// the columns whose (when_minor, when_major) pair changed — a cell's
-  /// value depends on nothing else, so untouched columns are already
-  /// bit-identical to a fresh derivation. Returns how many columns were
-  /// recomputed.
-  std::size_t derive_update(const LrWeights& prev, const LrWeights& next,
-                            LrMatrix& matrix) const;
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;

@@ -1,8 +1,8 @@
 // Property test for the collusion-tolerant LR phase: the genotype-fixed
 // basis path of GdoEnclave::on_phase2 must be bit-identical to the legacy
 // per-combination `build_lr_matrix` rebuild, across federation sizes
-// G in {3..6} and collusion bounds f in {1, 2}, in the dead-GDO degraded
-// mode, and with or without a thread pool.
+// G in {3..6} and collusion bounds f in {1, 2}, and in the dead-GDO
+// degraded mode.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "gendpr/trusted.hpp"
 #include "genome/cohort.hpp"
 #include "stats/lr_test.hpp"
@@ -83,11 +82,10 @@ bool combination_contains(const std::vector<std::uint32_t>& members,
 /// the legacy from-scratch rebuild: weights from the combination's derived
 /// frequency vector, then a full bit-plane `build_lr_matrix`. Returns the
 /// per-GDO entry counts so callers can assert coverage.
-std::vector<std::size_t> check_against_legacy_rebuild(
-    Federation& fed, common::ThreadPool* pool) {
+std::vector<std::size_t> check_against_legacy_rebuild(Federation& fed) {
   std::vector<std::size_t> entry_counts;
   for (const auto& enclave : fed.enclaves) {
-    const auto matrices = enclave->on_phase2(fed.phase2, pool);
+    const auto matrices = enclave->on_phase2(fed.phase2);
     EXPECT_TRUE(matrices.ok());
     if (!matrices.ok()) return entry_counts;
     for (const auto& entry : matrices.value().entries) {
@@ -114,7 +112,7 @@ class LrBasisEquivalenceTest
 TEST_P(LrBasisEquivalenceTest, BasisPathMatchesLegacyRebuild) {
   const auto [num_gdos, f] = GetParam();
   Federation fed = make_federation(num_gdos, f, 7 * num_gdos + f);
-  const auto entry_counts = check_against_legacy_rebuild(fed, nullptr);
+  const auto entry_counts = check_against_legacy_rebuild(fed);
   ASSERT_EQ(entry_counts.size(), num_gdos);
   for (std::uint32_t g = 0; g < num_gdos; ++g) {
     // Every combination containing GDO g yields exactly one entry.
@@ -145,7 +143,7 @@ TEST(LrBasisEquivalenceDegradedTest, DeadGdoSkippedOthersBitIdentical) {
   fed.phase2.case_counts_per_gdo[3].clear();
   fed.phase2.n_case_per_gdo[3] = 0;
   fed.enclaves.pop_back();  // the dead GDO never receives the broadcast
-  const auto entry_counts = check_against_legacy_rebuild(fed, nullptr);
+  const auto entry_counts = check_against_legacy_rebuild(fed);
   ASSERT_EQ(entry_counts.size(), 3u);
   for (std::uint32_t g = 0; g < 3; ++g) {
     std::size_t expected = 0;
@@ -156,24 +154,6 @@ TEST(LrBasisEquivalenceDegradedTest, DeadGdoSkippedOthersBitIdentical) {
       }
     }
     EXPECT_EQ(entry_counts[g], expected) << "gdo " << g;
-  }
-}
-
-TEST(LrBasisEquivalenceDegradedTest, PooledDerivationsMatchSerial) {
-  Federation fed = make_federation(5, 2, 123);
-  common::ThreadPool pool;
-  for (const auto& enclave : fed.enclaves) {
-    const auto serial = enclave->on_phase2(fed.phase2, nullptr);
-    const auto pooled = enclave->on_phase2(fed.phase2, &pool);
-    ASSERT_TRUE(serial.ok());
-    ASSERT_TRUE(pooled.ok());
-    ASSERT_EQ(serial.value().entries.size(), pooled.value().entries.size());
-    for (std::size_t i = 0; i < serial.value().entries.size(); ++i) {
-      EXPECT_EQ(serial.value().entries[i].combination_id,
-                pooled.value().entries[i].combination_id);
-      EXPECT_EQ(serial.value().entries[i].matrix,
-                pooled.value().entries[i].matrix);
-    }
   }
 }
 

@@ -327,72 +327,84 @@ TEST(CoordinatorTest, LrMatrixValidation) {
   wrong_rows.entries.push_back(
       {0, stats::LrMatrix(3, coordinator.outcome().l_double_prime.size())});
   EXPECT_FALSE(coordinator.add_lr_matrices(1, wrong_rows).ok());
+
+  // A tile the GDO already sent is rejected, not silently overwritten (the
+  // host counts tiles per member, so an accepted repeat would end its
+  // gather early).
+  ASSERT_FALSE(coordinator.outcome().l_double_prime.empty());
+  LrMatrices valid;
+  valid.entries.push_back(
+      {0, stats::LrMatrix(50, coordinator.outcome().l_double_prime.size())});
+  ASSERT_TRUE(coordinator.add_lr_matrices(1, valid).ok());
+  const common::Status repeated = coordinator.add_lr_matrices(1, valid);
+  ASSERT_FALSE(repeated.ok());
+  EXPECT_EQ(repeated.error().code, common::Errc::bad_message);
+  EXPECT_EQ(repeated.error().message, "duplicate LR matrices tile");
 }
 
-/// Three-GDO coordinator with identical member summaries: every combination
-/// ranks SNPs identically, so the greedy walks of {0,1} and {0,2} visit the
-/// same pairs and the second walk hits moments_cache_ entries created by the
-/// first. Shared by the stale-slot regression tests below.
+/// Three-GDO coordinator (f = 1: combinations {0,1}, {0,2}, {1,2}) with
+/// identical member summaries of `member_population` cases each. Every
+/// greedy walk starts at the first pair of L', so the first walk creates
+/// that pair's moments_cache_ entry and every later walk hits it. Shared by
+/// the stale-slot regression tests below.
 struct RefetchFixture {
   Fixture f;
   GdoEnclave leader{f.platform, 0};
   std::optional<Coordinator> coordinator;
 
-  explicit RefetchFixture(bool prune) {
+  explicit RefetchFixture(std::uint32_t member_population) {
     EXPECT_TRUE(leader.provision_dataset(f.cohort.cases).ok());
-    StudyAnnounce announce = f.make_announce(3, CollusionPolicy::fixed(1));
-    announce.config.prune = prune;
-    coordinator.emplace(leader, f.cohort.controls, 3, announce);
+    coordinator.emplace(leader, f.cohort.controls, 3,
+                        f.make_announce(3, CollusionPolicy::fixed(1)));
     SummaryStats member_stats;
     member_stats.case_counts.assign(f.cohort.cases.num_snps(), 5);
-    // Larger than the leader's population so the pruning order visits the
-    // leader-bearing pairs {0,1} and {0,2} before {1,2}.
-    member_stats.n_case = 400;
+    member_stats.n_case = member_population;
     EXPECT_TRUE(coordinator->add_summary(1, member_stats).ok());
     EXPECT_TRUE(coordinator->add_summary(2, member_stats).ok());
     EXPECT_TRUE(coordinator->run_maf_phase().ok());
+    EXPECT_GE(coordinator->outcome().l_prime.size(), 2u);
   }
 };
 
 TEST(CoordinatorTest, StaleMomentsSlotRefetchedForLiveMember) {
-  // Legacy (unpruned) mode: the first touch of a pair broadcasts to all
-  // live members. If GDO 2's response is lost in transit (without GDO 2
-  // being unresponsive at the network layer, so it is never marked dead),
-  // the cached entry keeps an empty slot. When combination {0,2} later
-  // aggregates the same pair, the coordinator must re-request the missing
-  // slot from the live member instead of replaying MissingMomentsError
-  // from the stale cache entry - which used to kill combination {0,2} and
-  // {1,2} and silently shrink the assessment.
-  RefetchFixture rf(/*prune=*/false);
+  // Members smaller than the leader put {1,2} first in the evaluation
+  // order, so its walk creates the first pair's cache entry by asking both
+  // members. Both responses are lost; the aggregation fails on GDO 1 first
+  // and declares it dead, leaving GDO 2's slot empty although GDO 2 is
+  // alive. The pass restarts over the one live combination {0,2}, whose
+  // walk hits the same entry: the coordinator must re-request the stale
+  // slot from GDO 2 instead of replaying MissingMomentsError from the cache
+  // - which would also kill GDO 2 and abort the phase with no live
+  // combination.
+  RefetchFixture rf(/*member_population=*/10);
   std::vector<std::vector<std::uint32_t>> calls;
   auto fetch = [&](const MomentsRequest&,
                    const std::vector<std::uint32_t>& targets) {
     calls.push_back(targets);
     std::vector<std::optional<stats::LdMoments>> per_gdo(3);
+    if (calls.size() == 1) return per_gdo;  // both responses lost
     for (std::uint32_t g : targets) {
-      if (calls.size() == 1 && g == 2) continue;  // drop GDO 2's response
       per_gdo[g] = stats::LdMoments{5, 5, 1, 5, 5, 50};
     }
     return per_gdo;
   };
-  ASSERT_TRUE(rf.coordinator->run_ld_phase(fetch).ok());
-  EXPECT_TRUE(rf.coordinator->dead_gdos().empty());
-  ASSERT_FALSE(calls.empty());
-  // First touch broadcast to both members; the lost slot was later
-  // re-requested from GDO 2 alone.
-  EXPECT_EQ(calls.front(), (std::vector<std::uint32_t>{1, 2}));
-  bool refetched = false;
-  for (std::size_t i = 1; i < calls.size(); ++i) {
-    refetched |= calls[i] == std::vector<std::uint32_t>{2};
-  }
-  EXPECT_TRUE(refetched);
+  const auto phase2 = rf.coordinator->run_ld_phase(fetch);
+  ASSERT_TRUE(phase2.ok()) << phase2.error().to_string();
+  EXPECT_EQ(rf.coordinator->dead_gdos(), (std::set<std::uint32_t>{1}));
+  ASSERT_GE(calls.size(), 2u);
+  EXPECT_EQ(calls[0], (std::vector<std::uint32_t>{1, 2}));
+  // The restarted pass's first fetch is the stale slot, from GDO 2 alone.
+  EXPECT_EQ(calls[1], (std::vector<std::uint32_t>{2}));
+  EXPECT_EQ(rf.coordinator->pruning_stats().ld_reassessments, 1u);
 }
 
 TEST(CoordinatorTest, PrunedSweepFillsCachedPairSlotsLazily) {
-  // Pruned mode fetches per combination: {0,1} creates the cache entry with
-  // only slot 1 filled, and {0,2}'s later touch of the same pair must fetch
-  // slot 2 on the cache HIT path rather than trusting the entry complete.
-  RefetchFixture rf(/*prune=*/true);
+  // The sweep fetches per combination: members larger than the leader put
+  // the leader-bearing {0,1} and {0,2} first, so {0,1} creates the cache
+  // entry with only slot 1 filled, and {0,2}'s later touch of the same pair
+  // must fetch slot 2 on the cache HIT path rather than trusting the entry
+  // complete.
+  RefetchFixture rf(/*member_population=*/400);
   bool single_member_fill = false;
   std::set<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>> seen;
   auto fetch = [&](const MomentsRequest& request,

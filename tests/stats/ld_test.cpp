@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hpp"
 #include "stats/special.hpp"
 
@@ -109,6 +111,43 @@ TEST(LdPValueTest, IndependentPairNotSignificant) {
   EXPECT_GT(ld_p_value(compute_ld_moments(m, 0, 1)), 1e-5);
 }
 
+// The paper's Table 2b form of r^2 (the 2x2 contingency table of the two
+// SNPs' minor-allele indicators) must equal the moments form GenDPR ships
+// over the wire, for any binary population. The table is counted here, as
+// an oracle independent of the moment sums.
+class EquivalenceSweep : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(EquivalenceSweep, TableR2EqualsMomentsR2) {
+  common::Rng seed_rng(GetParam());
+  const std::size_t n = 200 + seed_rng.uniform_int(300);
+  const double p0 = 0.1 + 0.5 * seed_rng.uniform();
+  const double p1 = 0.1 + 0.5 * seed_rng.uniform();
+  common::Rng rng(GetParam());
+  genome::GenotypeMatrix m(n, 2);
+  double cells[2][2] = {{0, 0}, {0, 0}};
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool a = rng.bernoulli(p0);
+    const bool b = rng.bernoulli(p1);
+    m.set(i, 0, a);
+    m.set(i, 1, b);
+    cells[a][b] += 1;
+  }
+  const double det = cells[0][0] * cells[1][1] - cells[0][1] * cells[1][0];
+  const double margins = (cells[0][0] + cells[0][1]) *
+                         (cells[1][0] + cells[1][1]) *
+                         (cells[0][0] + cells[1][0]) *
+                         (cells[0][1] + cells[1][1]);
+  ASSERT_GT(margins, 0.0);
+  const double table_r2 = det * det / margins;
+  const LdMoments moments = compute_ld_moments(m, 0, 1);
+  EXPECT_NEAR(table_r2, ld_r2(moments), 1e-9);
+  EXPECT_NEAR(chi2_sf(static_cast<double>(n) * table_r2, 1.0),
+              ld_p_value(moments), 1e-9);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EquivalenceSweep,
+                         ::testing::Range<std::uint64_t>(1, 13));
+
 TEST(GreedyLdPruneTest, AllIndependentKeepsAll) {
   const std::vector<std::uint32_t> snps = {0, 1, 2, 3};
   const std::vector<double> assoc_p(4, 0.5);
@@ -147,6 +186,60 @@ TEST(GreedyLdPruneTest, EmptyAndSingleton) {
   EXPECT_EQ(greedy_ld_prune(one, 1e-5, assoc_p,
                             [](std::uint32_t, std::uint32_t) { return 0.5; }),
             one);
+}
+
+TEST(GreedyLdPruneTest, TruncatedWalkIsPrefixResolvingEveryBoundedSnp) {
+  // Random sparse SNP ids, ranks and pair dependencies: for every bound,
+  // the truncated walk is a prefix of the full walk, agrees with it on
+  // every SNP <= the bound, and never asks for more pairs.
+  common::Rng rng(47);
+  std::vector<std::uint32_t> snps;
+  for (std::uint32_t id = 0; id < 200; ++id) {
+    if (rng.bernoulli(0.3)) snps.push_back(id);
+  }
+  std::vector<double> assoc_p(200);
+  for (double& p : assoc_p) p = rng.uniform();
+  std::vector<bool> dependent(200 * 200);
+  for (std::size_t i = 0; i < dependent.size(); ++i) {
+    dependent[i] = rng.bernoulli(0.5);
+  }
+  std::size_t pairs = 0;
+  auto pair_p_value = [&](std::uint32_t a, std::uint32_t b) {
+    ++pairs;
+    return dependent[a * 200 + b] ? 1e-9 : 0.5;
+  };
+  const auto full = greedy_ld_prune(snps, 1e-5, assoc_p, pair_p_value);
+  const std::size_t full_pairs = pairs;
+  ASSERT_EQ(full_pairs, snps.size() - 1);
+  for (std::uint32_t bound : snps) {
+    pairs = 0;
+    const auto truncated =
+        greedy_ld_prune(snps, 1e-5, assoc_p, pair_p_value, bound);
+    EXPECT_LE(pairs, full_pairs) << "bound " << bound;
+    ASSERT_LE(truncated.size(), full.size()) << "bound " << bound;
+    EXPECT_TRUE(std::equal(truncated.begin(), truncated.end(), full.begin()))
+        << "bound " << bound;
+    for (std::uint32_t snp : full) {
+      if (snp > bound) break;
+      EXPECT_TRUE(std::binary_search(truncated.begin(), truncated.end(), snp))
+          << "bound " << bound << " lost " << snp;
+    }
+  }
+}
+
+TEST(GreedyLdPruneTest, BoundBelowFirstSnpWalksNothing) {
+  const std::vector<std::uint32_t> snps = {5, 6, 7};
+  const std::vector<double> assoc_p(8, 0.5);
+  std::size_t pairs = 0;
+  const auto retained = greedy_ld_prune(
+      snps, 1e-5, assoc_p,
+      [&pairs](std::uint32_t, std::uint32_t) {
+        ++pairs;
+        return 0.5;
+      },
+      4);
+  EXPECT_TRUE(retained.empty());
+  EXPECT_EQ(pairs, 0u);
 }
 
 }  // namespace

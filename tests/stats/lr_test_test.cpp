@@ -138,34 +138,6 @@ TEST(LrBasisTest, SubsetColumnsMapThroughWeightIndex) {
             build_lr_matrix(planes, snps, w, snp_to_weight_col));
 }
 
-TEST(LrBasisTest, DeriveUpdateMatchesFreshDerivation) {
-  const genome::GenotypeMatrix g = random_genotypes(130, 40, 23);
-  const genome::BitPlanes planes(g);
-  const std::vector<std::uint32_t> snps = {1, 4, 8, 13, 21, 34};
-  const LrBasis basis(planes, snps);
-  const LrWeights prev = random_weights(snps.size(), 5);
-
-  // Change a strict subset of the weight pairs; only those columns may be
-  // recomputed, and the result must equal a from-scratch derivation.
-  LrWeights next = prev;
-  next.when_minor[1] += 0.25;
-  next.when_major[4] -= 0.5;
-  next.when_minor[5] = 0.0;
-  next.when_major[5] = 1.0;
-  LrMatrix matrix = basis.derive(prev);
-  EXPECT_EQ(basis.derive_update(prev, next, matrix), 3u);
-  EXPECT_EQ(matrix, basis.derive(next));
-
-  // Identical weights touch nothing; the matrix chains onward unchanged.
-  EXPECT_EQ(basis.derive_update(next, next, matrix), 0u);
-  EXPECT_EQ(matrix, basis.derive(next));
-
-  // A full change degenerates to a full derivation.
-  const LrWeights far = random_weights(snps.size(), 6);
-  EXPECT_EQ(basis.derive_update(next, far, matrix), snps.size());
-  EXPECT_EQ(matrix, basis.derive(far));
-}
-
 TEST(LrBasisTest, EmptyBasisDerivesEmptyMatrix) {
   const LrBasis empty;
   EXPECT_EQ(empty.rows(), 0u);

@@ -9,8 +9,9 @@ are validated structurally: required sections, per-phase wall times, per-link
 byte counts, per-GDO EPC peaks, the SIMD kernel backend, the tiling shape of
 the pipelined phase engine, and — when a trace is embedded — that every
 analysis phase appears exactly once, carries one ``maf.tile.<k>`` /
-``lr.tile.<k>`` span per tile, and one combination span per combination in
-the LD/LR phases. Google-benchmark JSON (``"benchmarks"`` array) gets a
+``lr.tile.<k>`` span per tile, and at most one combination span per
+combination in the LD/LR phases (the sweep skips combinations once the
+running intersection is empty). Google-benchmark JSON (``"benchmarks"`` array) gets a
 shallow sanity check. Anything else is an error. Exits non-zero on the first
 invalid file; stdlib only, so it runs anywhere CI has python3.
 """
@@ -165,12 +166,9 @@ def check_run_report(doc):
 
     pruning = doc.get("pruning")
     require(isinstance(pruning, dict), "missing pruning section")
-    require(isinstance(pruning.get("enabled"), bool), "pruning.enabled missing")
     for key in ("maf_mask_sizes", "ld_mask_sizes", "lr_mask_sizes"):
         sizes = pruning.get(key)
         require(isinstance(sizes, list), f"pruning.{key} missing")
-        if not pruning["enabled"]:
-            require(not sizes, f"pruning.{key} must be empty when pruning is off")
         # The running intersection only ever shrinks: each recorded mask size
         # must be monotone non-increasing across the evaluation order.
         for earlier, later in zip(sizes, sizes[1:]):
@@ -178,23 +176,22 @@ def check_run_report(doc):
                 later <= earlier,
                 f"pruning.{key} is not monotone non-increasing: {sizes}",
             )
-    if pruning["enabled"]:
-        # The folds land exactly on the intersected selection sets.
-        if pruning["maf_mask_sizes"]:
-            require(
-                pruning["maf_mask_sizes"][-1] == selection["l_prime"],
-                "final MAF mask size disagrees with selection.l_prime",
-            )
-        if pruning["ld_mask_sizes"] and not pruning["ld_walks_skipped"]:
-            require(
-                pruning["ld_mask_sizes"][-1] == selection["l_double_prime"],
-                "final LD mask size disagrees with selection.l_double_prime",
-            )
-        if pruning["lr_mask_sizes"] and not pruning["lr_selections_skipped"]:
-            require(
-                pruning["lr_mask_sizes"][-1] == selection["l_safe"],
-                "final LR mask size disagrees with selection.l_safe",
-            )
+    # The folds land exactly on the intersected selection sets.
+    if pruning["maf_mask_sizes"]:
+        require(
+            pruning["maf_mask_sizes"][-1] == selection["l_prime"],
+            "final MAF mask size disagrees with selection.l_prime",
+        )
+    if pruning["ld_mask_sizes"] and not pruning["ld_walks_skipped"]:
+        require(
+            pruning["ld_mask_sizes"][-1] == selection["l_double_prime"],
+            "final LD mask size disagrees with selection.l_double_prime",
+        )
+    if pruning["lr_mask_sizes"] and not pruning["lr_selections_skipped"]:
+        require(
+            pruning["lr_mask_sizes"][-1] == selection["l_safe"],
+            "final LR mask size disagrees with selection.l_safe",
+        )
     for key in (
         "maf_reassessments",
         "ld_reassessments",
@@ -206,16 +203,12 @@ def check_run_report(doc):
             isinstance(value, (int, float)) and value >= 0,
             f"pruning.{key} missing or negative",
         )
-        if not pruning["enabled"]:
-            require(value == 0, f"pruning.{key} nonzero with pruning off")
 
     events = doc.get("events")
     require(isinstance(events, dict), "missing events section")
     require(isinstance(events.get("dead_gdos"), list), "missing events.dead_gdos")
 
-    check_lr_counters(
-        doc, study, tiles, pruning, degraded=bool(events["dead_gdos"])
-    )
+    check_lr_counters(doc, study, tiles, degraded=bool(events["dead_gdos"]))
     check_wire_counters(doc, study, tiles, degraded=bool(events["dead_gdos"]))
 
     trace = doc.get("trace")
@@ -229,25 +222,18 @@ def check_run_report(doc):
         )
 
 
-def check_lr_counters(doc, study, tiles, pruning, degraded):
+def check_lr_counters(doc, study, tiles, degraded):
     """LR-phase accounting invariants over the exported counters.
 
     Every node that receives a phase-2 tile expands one genotype-fixed LR
     basis over that tile's columns (``lr.basis_builds``) and derives one
-    matrix slice per live combination it belongs to. With T = tiles.lr_count
-    and pruning off, a clean run pins the counters exactly:
+    full matrix slice per live combination it belongs to; the leader also
+    derives the reference panel's slice per live combination. With
+    T = tiles.lr_count, a clean run pins the ledger exactly:
         basis_builds == num_gdos * T
         combination_matvecs == combination_members_total * T
+        reference_matvecs == live_combinations * T
     and the leader builds the reference panel's basis once per tile.
-
-    Under the intersection-aware sweep only each per-node chain head is a
-    full derivation (``lr.combination_matvecs``); the rest are in-place
-    delta updates (``lr.combination_delta_updates``). Pruned work never
-    exceeds the unpruned budget, and full + delta derivations together
-    still conserve it on a clean run:
-        combination_matvecs <= combination_members_total * T
-        combination_matvecs + combination_delta_updates
-            == combination_members_total * T
 
     A degraded run only bounds the totals: a member may build bases (and
     derive matrices) and then be declared dead afterwards, so the counters
@@ -261,22 +247,14 @@ def check_lr_counters(doc, study, tiles, pruning, degraded):
     require(isinstance(counters, dict), "metrics.counters missing")
     basis = counters.get("lr.basis_builds", 0)
     matvecs = counters.get("lr.combination_matvecs", 0)
-    deltas = counters.get("lr.combination_delta_updates", 0)
     ref_matvecs = counters.get("lr.reference_matvecs", 0)
-    ref_deltas = counters.get("lr.reference_delta_updates", 0)
     num_gdos = study["num_gdos"]
     members_total = study["combination_members_total"]
     live_combinations = study["live_combinations"]
     lr_tiles = tiles["lr_count"]
-    pruned = pruning["enabled"]
-    if not pruned:
-        require(
-            deltas == 0 and ref_deltas == 0,
-            "delta-update counters must be zero with pruning off",
-        )
     if lr_tiles == 0:
         require(
-            basis == 0 and matvecs == 0 and deltas == 0,
+            basis == 0 and matvecs == 0,
             "LR derivation counters must be zero with an empty phase-3 plan",
         )
         require(
@@ -291,8 +269,8 @@ def check_lr_counters(doc, study, tiles, pruning, degraded):
             f"(degraded run)",
         )
         require(
-            matvecs + deltas >= members_total * lr_tiles,
-            f"lr derivations {matvecs}+{deltas} below the live-combination "
+            matvecs >= members_total * lr_tiles,
+            f"lr.combination_matvecs {matvecs} below the live-combination "
             f"member-tile total {members_total * lr_tiles}",
         )
     else:
@@ -301,41 +279,17 @@ def check_lr_counters(doc, study, tiles, pruning, degraded):
             f"lr.basis_builds {basis}: expected one basis build per GDO per "
             f"tile ({num_gdos} * {lr_tiles})",
         )
-        if pruned:
-            require(
-                1 <= matvecs <= members_total * lr_tiles,
-                f"lr.combination_matvecs {matvecs} outside "
-                f"[1, {members_total * lr_tiles}] (pruned run)",
-            )
-            require(
-                matvecs + deltas == members_total * lr_tiles,
-                f"lr derivations {matvecs}+{deltas}: full + delta updates "
-                f"must conserve the member-tile total "
-                f"({members_total} * {lr_tiles})",
-            )
-            require(
-                ref_matvecs == lr_tiles,
-                f"lr.reference_matvecs {ref_matvecs}: expected one chain "
-                f"head per tile ({lr_tiles})",
-            )
-            require(
-                ref_matvecs + ref_deltas == live_combinations * lr_tiles,
-                f"reference derivations {ref_matvecs}+{ref_deltas} must "
-                f"conserve the combination-tile total "
-                f"({live_combinations} * {lr_tiles})",
-            )
-        else:
-            require(
-                matvecs == members_total * lr_tiles,
-                f"lr.combination_matvecs {matvecs}: expected one derivation "
-                f"per combination member per tile "
-                f"({members_total} * {lr_tiles})",
-            )
-            require(
-                ref_matvecs == live_combinations * lr_tiles,
-                f"lr.reference_matvecs {ref_matvecs}: expected one per live "
-                f"combination per tile ({live_combinations} * {lr_tiles})",
-            )
+        require(
+            matvecs == members_total * lr_tiles,
+            f"lr.combination_matvecs {matvecs}: expected one derivation "
+            f"per combination member per tile "
+            f"({members_total} * {lr_tiles})",
+        )
+        require(
+            ref_matvecs == live_combinations * lr_tiles,
+            f"lr.reference_matvecs {ref_matvecs}: expected one per live "
+            f"combination per tile ({live_combinations} * {lr_tiles})",
+        )
     require(
         counters.get("lr.reference_basis_builds", 0) == lr_tiles,
         "reference panel basis must be built exactly once per LR tile",
@@ -438,24 +392,21 @@ def check_trace(trace, num_combinations, dead_gdos, tiles, pruning):
     # combinations past an already-empty running intersection are skipped,
     # and phase-1/2 reassessments forced by mid-phase deaths re-open the
     # affected tile / combination spans (never more than once per restart).
-    pruned = pruning["enabled"]
-    maf_repeats = 1 + (pruning["maf_reassessments"] if pruned else 0)
-    ld_repeats = 1 + (pruning["ld_reassessments"] if pruned else 0)
+    maf_repeats = 1 + pruning["maf_reassessments"]
+    ld_repeats = 1 + pruning["ld_reassessments"]
     check_children(
         "phase.maf", "maf.tile.", tiles["count"],
         exact=maf_repeats == 1, repeats=maf_repeats,
     )
     if tiles["lr_count"] > 0:
         check_children("phase.lr", "lr.tile.", tiles["lr_count"], exact=True)
-    combination_exact = not dead_gdos and not pruned
     check_children(
         "phase.ld", "ld.combination.", num_combinations,
-        exact=combination_exact, repeats=ld_repeats,
-        may_be_empty=pruned,
+        exact=False, repeats=ld_repeats, may_be_empty=True,
     )
     check_children(
         "phase.lr", "lr.combination.", num_combinations,
-        exact=combination_exact, may_be_empty=pruned and tiles["lr_count"] == 0,
+        exact=False, may_be_empty=tiles["lr_count"] == 0,
     )
 
 

@@ -62,6 +62,17 @@ foreach(transport uring tcp)
     message(FATAL_ERROR "--transport ${transport} printed no usage: ${err}")
   endif()
 endforeach()
+# The combination sweep has one form: the retired --no-prune switch is an
+# unknown flag like any other.
+execute_process(
+  COMMAND ${CLI} assess ${COHORT} --gdos 3 --f 1 --no-prune
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(rc EQUAL 0)
+  message(FATAL_ERROR "--no-prune was accepted: ${out}")
+endif()
+if(NOT err MATCHES "usage: gendpr")
+  message(FATAL_ERROR "--no-prune printed no usage: ${err}")
+endif()
 foreach(transport in_process epoll)
   execute_process(
     COMMAND ${CLI} release ${COHORT} --gdos 3 --transport ${transport}

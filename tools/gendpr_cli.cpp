@@ -61,8 +61,6 @@ void usage() {
                "           --fpr R --power P --seed S --report FILE\n"
                "           --tile-width W (SNPs per pipeline tile, 0 = off)\n"
                "           --epc-mb M (per-enclave EPC limit, MiB)\n"
-               "           --no-prune (disable intersection-aware sweep "
-               "pruning)\n"
                "           --transport in_process|epoll "
                "--event-loops N\n"
                "  release: assess options plus --out FILE --dp-epsilon E\n");
@@ -80,8 +78,6 @@ bool parse_args(int argc, char** argv, Args& args) {
     const char* value = nullptr;
     if (flag == "--conservative") {
       args.conservative = true;
-    } else if (flag == "--no-prune") {
-      args.config.prune = false;
     } else if ((value = next()) == nullptr) {
       return false;
     } else if (flag == "--cases") {
