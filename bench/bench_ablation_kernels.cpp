@@ -2,13 +2,13 @@
 //
 // Benches the three dispatched kernels — plane popcount (allele counts),
 // AND+popcount over plane pairs (the non-marginal LD moment), and the
-// indicator-select behind LrBasis::derive — per backend over protocol-sized
-// inputs, so the portable/AVX2/AVX-512 columns of the same kernel are
-// directly comparable. A backend the CPU lacks is skipped, not faked. The
-// tail bench runs the same federated study monolithic and SNP-tiled to show
-// the tiling ablation on end-to-end time and the leader's transient EPC
-// peak (and, with GENDPR_REPORT_DIR set, drops a tiled run report CI can
-// feed through tools/check_report.py).
+// bit-select that fills an LR-matrix column from a plane — per backend over
+// protocol-sized inputs, so the portable/AVX2/AVX-512 columns of the same
+// kernel are directly comparable. A backend the CPU lacks is skipped, not
+// faked. The tail bench runs the same federated study monolithic and
+// SNP-tiled to show the tiling ablation on end-to-end time and the leader's
+// transient EPC peak (and, with GENDPR_REPORT_DIR set, drops a tiled run
+// report CI can feed through tools/check_report.py).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -89,29 +89,23 @@ BENCHMARK(BM_Kernels_AndPopcount)
     ->Args({32768, 1})
     ->Args({32768, 2});
 
-/// LrBasis::derive kernel: per-individual weight select off the genotype
-/// indicator. 8,192 individuals matches one basis row block at paper scale.
-void BM_Kernels_SelectWeights(benchmark::State& state) {
+/// LR-matrix fill kernel: one column of weights selected by one plane's
+/// genotype bits. 8,192 individuals (128 words) is the scale of one GDO's
+/// slice at paper scale.
+void BM_Kernels_SelectBits(benchmark::State& state) {
   const auto backend = static_cast<KernelBackend>(state.range(1));
   if (skip_if_unavailable(state, backend)) return;
   const auto& ops = genome::kernels::kernel_ops_for(backend);
   const std::size_t n = state.range(0);
-  std::mt19937_64 rng(0xfeed);
-  std::vector<std::uint8_t> indicator(n);
-  std::vector<double> when_minor(n), when_major(n), out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    indicator[i] = rng() & 1;
-    when_minor[i] = static_cast<double>(rng() % 1000) / 997.0;
-    when_major[i] = static_cast<double>(rng() % 1000) / 991.0;
-  }
+  const auto plane = random_words((n + 63) / 64, 0xfeed);
+  std::vector<double> out(n);
   for (auto _ : state) {
-    ops.select_weights(indicator.data(), when_minor.data(), when_major.data(),
-                       n, out.data());
+    ops.select_bits(plane.data(), 0.25, -0.125, n, out.data());
     benchmark::DoNotOptimize(out.data());
   }
   state.SetBytesProcessed(state.iterations() * n * sizeof(double));
 }
-BENCHMARK(BM_Kernels_SelectWeights)
+BENCHMARK(BM_Kernels_SelectBits)
     ->ArgNames({"n", "backend"})
     ->Args({8192, 0})
     ->Args({8192, 1})

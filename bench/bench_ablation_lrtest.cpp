@@ -13,7 +13,6 @@
 #include <numeric>
 
 #include "bench_common.hpp"
-#include "common/thread_pool.hpp"
 #include "genome/bitplanes.hpp"
 #include "stats/lr_test.hpp"
 
@@ -78,26 +77,8 @@ BENCHMARK(BM_LrSelection_EmpiricalGreedy)
     ->Arg(400)
     ->Unit(benchmark::kMillisecond);
 
-void BM_LrSelection_EmpiricalGreedyPooled(benchmark::State& state) {
-  const LrInputs inputs = make_inputs(state.range(0));
-  common::ThreadPool pool;
-  stats::LrSelectionResult result;
-  for (auto _ : state) {
-    result = stats::select_safe_snps(inputs.case_lr, inputs.ref_lr,
-                                     stats::LrSelectionParams{}, &pool);
-    benchmark::DoNotOptimize(result.safe_columns);
-  }
-  state.counters["retained"] =
-      static_cast<double>(result.safe_columns.size());
-  state.counters["power"] = subset_power(inputs, result.safe_columns);
-}
-BENCHMARK(BM_LrSelection_EmpiricalGreedyPooled)
-    ->Arg(100)
-    ->Arg(400)
-    ->Unit(benchmark::kMillisecond);
-
 // Packed-vs-bitplane comparison for the LR-matrix fill (phase-3 input prep):
-// per-element get() against the word-at-a-time plane walk.
+// per-element get() against the per-column bit-select over the planes.
 void BM_LrBuild_PackedScalar(benchmark::State& state) {
   const genome::Cohort& cohort = cohort_for(kPaperCasesHalf, 1000);
   const std::size_t cols = state.range(0);

@@ -120,7 +120,7 @@ Result<StudyResult> run_sessions(
     std::vector<std::unique_ptr<tee::Platform>>& platforms,
     std::uint32_t leader_gdo,
     const std::vector<std::pair<std::size_t, std::size_t>>& ranges,
-    const StudyAnnounce& announce, common::ThreadPool* pool,
+    const StudyAnnounce& announce,
     obs::SpanId study_span, std::chrono::milliseconds receive_timeout,
     std::vector<double>& member_compute_ms) {
   const bool in_memory =
@@ -168,7 +168,6 @@ Result<StudyResult> run_sessions(
                        cohort.controls, announce);
   leader.set_receive_timeout(receive_timeout);
   leader.set_observability(spec.obs, study_span);
-  leader.set_pool(pool);
   leader.set_wire_pool(&run_pool);
 
   std::vector<std::uint32_t> member_gdos;
@@ -385,25 +384,13 @@ Result<StudyResult> run_federated_study(const genome::Cohort& cohort,
   // study's sealing work (federation runs in one process are sequential).
   const crypto::AeadCounters aead_before = crypto::aead_counters();
 
-  // One pool for the leader's per-combination LR selections.
-  std::unique_ptr<common::ThreadPool> pool;
-  if (spec.parallel_combinations && announce.combinations.size() > 1) {
-    pool = std::make_unique<common::ThreadPool>();
-  }
   setup_span.end();
 
   std::vector<double> member_compute_ms;
   auto result = run_sessions(cohort, spec, transport_mode_of(spec),
                              platforms, leader_gdo, ranges, announce,
-                             pool.get(), study_span.id(), receive_timeout,
+                             study_span.id(), receive_timeout,
                              member_compute_ms);
-  if (spec.obs != nullptr && pool != nullptr) {
-    spec.obs->metrics.add_counter("pool.tasks_completed",
-                                  pool->tasks_completed());
-    spec.obs->metrics.set_gauge("pool.task_wall_ms", pool->task_wall_ms());
-    spec.obs->metrics.set_gauge("pool.threads",
-                                static_cast<double>(pool->size()));
-  }
   if (!result.ok()) return result;
 
   StudyResult study = std::move(result).take();

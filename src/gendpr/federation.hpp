@@ -46,11 +46,6 @@ struct FederationSpec {
   std::uint64_t seed = 7;
   /// Simulated EPC limit per platform.
   std::uint64_t epc_limit = tee::EpcMeter::kDefaultLimitBytes;
-  /// Give the leader enclave a thread pool for the LR phase (§5.6:
-  /// "efficiently conducted in parallel"). Combinations are evaluated one
-  /// at a time by the eager intersection fold; the pool parallelises each
-  /// safe-subset selection.
-  bool parallel_combinations = true;
   /// Deadline for every protocol wait on every node, in milliseconds.
   /// 0 preserves the paper's original semantics (block forever). With a
   /// deadline, an unresponsive GDO is declared dead: the study either
@@ -60,9 +55,9 @@ struct FederationSpec {
   /// Run-wide observability bundle (nullptr = unobserved). When set, the
   /// runner opens the root "study" span, every node and the coordinator
   /// record spans/metrics into it, and the teardown path exports per-link
-  /// traffic, per-GDO EPC peaks, and thread-pool statistics into the
-  /// registry so a RunReport can be serialized after the call returns. The
-  /// bundle must outlive the call; the caller owns it.
+  /// traffic and per-GDO EPC peaks into the registry so a RunReport can be
+  /// serialized after the call returns. The bundle must outlive the call;
+  /// the caller owns it.
   obs::Observability* obs = nullptr;
 };
 

@@ -414,14 +414,10 @@ ProtocolSession::Main MemberSession::run_protocol() {
         auto matrices = enclave_.on_phase2(result.value());
         compute_ms_ += compute_watch.elapsed_ms();
         if (!matrices.ok()) co_return matrices.error();
-        // One basis build per tile iff this GDO sat in any live combination,
-        // plus one basis-times-weights derivation per entry. The per-tile
-        // basis bounds this member's transient EPC footprint at O(tile).
-        if (!matrices.value().entries.empty()) {
-          obs::add_counter(obs_, "lr.basis_builds");
-          obs::add_counter(obs_, "lr.combination_matvecs",
-                           matrices.value().entries.size());
-        }
+        // One derivation per entry (one per live combination holding
+        // this GDO).
+        obs::add_counter(obs_, "lr.combination_matvecs",
+                         matrices.value().entries.size());
         obs::max_gauge(obs_, "epc.member.peak_bytes",
                        static_cast<double>(enclave_.platform().epc().peak()));
         if (Status s = co_await send_reply(MsgType::lr_matrices,
@@ -465,13 +461,12 @@ ProtocolSession::Main MemberSession::run_protocol() {
 LeaderSession::LeaderSession(tee::Platform& platform, std::uint32_t gdo_index,
                              std::uint32_t num_gdos,
                              genome::GenotypeMatrix cases,
-                             genome::GenotypeMatrix reference,
+                             const genome::GenotypeMatrix& reference,
                              StudyAnnounce announce)
     : gdo_index_(gdo_index),
       num_gdos_(num_gdos),
       enclave_(platform, gdo_index),
-      coordinator_(enclave_, std::move(reference), num_gdos,
-                   std::move(announce)),
+      coordinator_(enclave_, reference, num_gdos, std::move(announce)),
       channels_(num_gdos) {
   // Provisioning failures (EPC limit) surface from the protocol body, which
   // checks that the dataset is present before announcing.
@@ -899,8 +894,8 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
     }
     auto matrices = LrMatrices::deserialize(opened.value().second);
     if (!matrices.ok()) co_return matrices.error();
-    if (Status s = coordinator_.add_lr_matrices(step.value().member,
-                                                matrices.value());
+    if (Status s = coordinator_.add_lr_matrices(
+            step.value().member, std::move(matrices).take());
         !s.ok()) {
       co_return s.error();
     }
@@ -914,7 +909,7 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
   lr_gather_span.end();
 
   Stopwatch lr_watch;
-  auto phase3 = coordinator_.run_lr_phase(pool_);
+  auto phase3 = coordinator_.run_lr_phase();
   if (!phase3.ok()) co_return phase3.error();
   timings.lr_ms += lr_watch.elapsed_ms();
 

@@ -31,7 +31,6 @@
 #include "common/bytes.hpp"
 #include "common/coro.hpp"
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 #include "gendpr/messages.hpp"
 #include "gendpr/study_result.hpp"
 #include "gendpr/trusted.hpp"
@@ -368,7 +367,8 @@ class LeaderSession : public ProtocolSession {
  public:
   LeaderSession(tee::Platform& platform, std::uint32_t gdo_index,
                 std::uint32_t num_gdos, genome::GenotypeMatrix cases,
-                genome::GenotypeMatrix reference, StudyAnnounce announce);
+                const genome::GenotypeMatrix& reference,
+                StudyAnnounce announce);
   ~LeaderSession() override;
 
   void set_observability(obs::Observability* obs,
@@ -377,9 +377,6 @@ class LeaderSession : public ProtocolSession {
     study_span_ = study_span;
     coordinator_.set_observability(obs, study_span);
   }
-  /// Thread pool for the LR phase's safe-subset selections (nullptr =
-  /// serial). Call before start().
-  void set_pool(common::ThreadPool* pool) noexcept { pool_ = pool; }
 
   const GdoEnclave& enclave() const noexcept { return enclave_; }
   const Coordinator& coordinator() const noexcept { return coordinator_; }
@@ -434,7 +431,6 @@ class LeaderSession : public ProtocolSession {
   double fetch_wait_ms_ = 0;  // time spent gathering member responses
   obs::Observability* obs_ = nullptr;
   obs::SpanId study_span_ = obs::kNoSpan;
-  common::ThreadPool* pool_ = nullptr;
   StudyResult result_;
 };
 

@@ -50,7 +50,7 @@ struct StudyResult {
   /// Combinations with no dead member (== num_combinations on clean runs).
   std::size_t live_combinations = 0;
   /// Sum of |members(c)| over live combinations: the expected number of
-  /// per-member LR basis derivations (`lr.combination_matvecs`).
+  /// per-member LR matrix derivations (`lr.combination_matvecs`).
   std::size_t combination_members_total = 0;
   /// Serialized size of the phase-2 result each member receives. With
   /// per-GDO counts this is O(G·m) instead of the old O(C·m) frequency

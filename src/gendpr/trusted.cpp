@@ -1,6 +1,7 @@
 #include "gendpr/trusted.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "common/combinatorics.hpp"
 #include "wire/serialize.hpp"
@@ -26,20 +27,19 @@ GdoEnclave::GdoEnclave(tee::Platform& platform, std::uint32_t gdo_index)
       gdo_index_(gdo_index) {}
 
 Status GdoEnclave::provision_dataset(genome::GenotypeMatrix cases) {
-  auto allocation = reserve_epc(cases.storage_bytes());
-  if (!allocation.ok()) return allocation.error();
+  // The packed input is enclave-resident only until the planes are built.
+  const auto packed_epc = reserve_epc(cases.storage_bytes());
+  if (!packed_epc.ok()) return packed_epc.error();
   genome::BitPlanes planes(cases);
   auto plane_allocation = reserve_epc(planes.storage_bytes());
   if (!plane_allocation.ok()) return plane_allocation.error();
-  dataset_epc_ = std::move(allocation).take();
   planes_epc_ = std::move(plane_allocation).take();
-  cases_ = std::move(cases);
   planes_ = std::move(planes);
   return Status::success();
 }
 
 Status GdoEnclave::on_study_announce(const StudyAnnounce& announce) {
-  if (announce.num_snps != cases_.num_snps()) {
+  if (announce.num_snps != planes_.num_snps()) {
     return make_error(Errc::invalid_argument,
                       "announced SNP count does not match local dataset");
   }
@@ -60,7 +60,7 @@ Status GdoEnclave::on_study_announce(const StudyAnnounce& announce) {
 SummaryStats GdoEnclave::make_summary_stats() const {
   SummaryStats stats;
   stats.case_counts = planes_.allele_counts();
-  stats.n_case = static_cast<std::uint32_t>(cases_.num_individuals());
+  stats.n_case = static_cast<std::uint32_t>(planes_.num_individuals());
   return stats;
 }
 
@@ -71,7 +71,7 @@ SummaryStats GdoEnclave::make_summary_tile(std::uint32_t snp_begin,
   SummaryStats stats;
   stats.case_counts.assign(view.allele_counts(),
                            view.allele_counts() + view.num_snps());
-  stats.n_case = static_cast<std::uint32_t>(cases_.num_individuals());
+  stats.n_case = static_cast<std::uint32_t>(planes_.num_individuals());
   stats.tile_index = tile_index;
   return stats;
 }
@@ -95,8 +95,8 @@ Result<MomentsResponse> GdoEnclave::on_moments_request(
     return make_error(Errc::state_violation,
                       "moments request before study announce");
   }
-  if (request.snp_a >= cases_.num_snps() ||
-      request.snp_b >= cases_.num_snps()) {
+  if (request.snp_a >= planes_.num_snps() ||
+      request.snp_b >= planes_.num_snps()) {
     return make_error(Errc::bad_message, "moments request SNP out of range");
   }
   MomentsResponse response;
@@ -132,7 +132,7 @@ Result<LrMatrices> GdoEnclave::on_phase2(const Phase2Result& result) {
                       "per-GDO counts do not cover this GDO");
   }
   for (std::uint32_t snp : result.retained) {
-    if (snp >= cases_.num_snps()) {
+    if (snp >= planes_.num_snps()) {
       return make_error(Errc::bad_message, "phase2 SNP out of range");
     }
   }
@@ -148,7 +148,7 @@ Result<LrMatrices> GdoEnclave::on_phase2(const Phase2Result& result) {
   // The leader cannot misattribute this GDO's contribution: its slot must
   // match the local dataset exactly (the counts it reported in phase 1,
   // restricted to L'').
-  if (result.n_case_per_gdo[gdo_index_] != cases_.num_individuals() ||
+  if (result.n_case_per_gdo[gdo_index_] != planes_.num_individuals() ||
       result.case_counts_per_gdo[gdo_index_] !=
           planes_.allele_counts(result.retained)) {
     return make_error(Errc::bad_message,
@@ -202,11 +202,11 @@ Result<LrMatrices> GdoEnclave::on_phase2(const Phase2Result& result) {
   response.tile_index = result.tile_index;
   if (own.empty()) return response;
 
-  // Pass 2: one genotype-fixed basis build, then one cheap derivation per
-  // combination. The basis is charged against the EPC meter while held.
-  const stats::LrBasis basis(planes_, result.retained);
-  auto basis_epc = reserve_epc(basis.storage_bytes());
-  if (!basis_epc.ok()) return basis_epc.error();
+  // Pass 2: one matrix per combination, each column filled straight from
+  // its bit plane. One tile matrix's bytes are charged while they derive.
+  const auto tile_epc = reserve_epc(planes_.num_individuals() *
+                                    result.retained.size() * sizeof(double));
+  if (!tile_epc.ok()) return tile_epc.error();
   response.entries.resize(own.size());
   for (std::size_t i = 0; i < own.size(); ++i) {
     const std::size_t c = own[i];
@@ -214,7 +214,8 @@ Result<LrMatrices> GdoEnclave::on_phase2(const Phase2Result& result) {
         result.combination_case_freq(announce_->combinations[c]),
         result.reference_freq);
     response.entries[i].combination_id = static_cast<std::uint32_t>(c);
-    response.entries[i].matrix = basis.derive(weights);
+    response.entries[i].matrix =
+        stats::build_lr_matrix(planes_, result.retained, weights);
   }
   return response;
 }
@@ -309,11 +310,10 @@ struct MissingMomentsError {
 }  // namespace
 
 Coordinator::Coordinator(GdoEnclave& leader_enclave,
-                         genome::GenotypeMatrix reference,
+                         const genome::GenotypeMatrix& reference,
                          std::uint32_t num_gdos, StudyAnnounce announce)
     : leader_(&leader_enclave),
-      reference_(std::move(reference)),
-      reference_planes_(reference_),
+      reference_planes_(reference),
       num_gdos_(num_gdos),
       announce_(std::move(announce)),
       summaries_(num_gdos) {
@@ -387,10 +387,14 @@ std::size_t Coordinator::combination_members_total() const {
 
 common::Error Coordinator::no_live_combination_error(
     const std::string& phase) const {
-  std::string message =
-      phase + " aborted: every combination contains an unresponsive GDO;"
-              " dead gdo(s):";
-  for (std::uint32_t g : dead_gdos_) message += " " + std::to_string(g);
+  std::string message = phase;
+  message +=
+      " aborted: every combination contains an unresponsive GDO;"
+      " dead gdo(s):";
+  for (std::uint32_t g : dead_gdos_) {
+    message += ' ';
+    message += std::to_string(g);
+  }
   return make_error(Errc::timeout, message);
 }
 
@@ -476,7 +480,7 @@ void Coordinator::assess_maf_tile(std::uint32_t tile) {
     obs::add_counter(obs_, "coordinator.maf_combinations");
     obs::add_counter(obs_, "coordinator.maf_snps_evaluated", mask.size());
     const auto& members = announce_.combinations[c];
-    std::uint64_t n_total = reference_.num_individuals();
+    std::uint64_t n_total = reference_planes_.num_individuals();
     for (std::uint32_t g : members) n_total += summaries_[g]->n_case;
     std::vector<std::uint32_t> survivors;
     survivors.reserve(mask.size());
@@ -566,7 +570,7 @@ std::vector<double> Coordinator::combination_chi2_p_values(
     const std::vector<std::uint32_t>& members) const {
   std::uint64_t n_case = 0;
   for (std::uint32_t g : members) n_case += summaries_[g]->n_case;
-  const std::uint64_t n_ref = reference_.num_individuals();
+  const std::uint64_t n_ref = reference_planes_.num_individuals();
   std::vector<double> p_values(announce_.num_snps, 1.0);
   for (std::uint32_t l : l_prime_) {
     std::uint64_t case_minor = 0;
@@ -725,7 +729,7 @@ common::Task<Result<Phase2Result>> Coordinator::run_ld_phase_async(
   Phase2Result result;
   result.retained = l_double_prime_;
   result.reference_freq.resize(l_double_prime_.size());
-  const std::uint64_t n_ref = reference_.num_individuals();
+  const std::uint64_t n_ref = reference_planes_.num_individuals();
   for (std::size_t i = 0; i < l_double_prime_.size(); ++i) {
     result.reference_freq[i] =
         n_ref == 0 ? 0.0
@@ -804,7 +808,7 @@ std::vector<Phase2Result> Coordinator::phase2_tiles() const {
 }
 
 Status Coordinator::add_lr_matrices(std::uint32_t gdo_index,
-                                    const LrMatrices& matrices) {
+                                    LrMatrices matrices) {
   if (gdo_index >= num_gdos_) {
     return make_error(Errc::unknown_peer, "LR matrices from unknown GDO");
   }
@@ -814,7 +818,7 @@ Status Coordinator::add_lr_matrices(std::uint32_t gdo_index,
   if (matrices.tile_index >= lr_plan_.tile_count()) {
     return make_error(Errc::bad_message, "LR matrices tile index out of range");
   }
-  for (const auto& entry : matrices.entries) {
+  for (auto& entry : matrices.entries) {
     if (entry.combination_id >= announce_.combinations.size()) {
       return make_error(Errc::bad_message, "unknown combination id");
     }
@@ -831,7 +835,7 @@ Status Coordinator::add_lr_matrices(std::uint32_t gdo_index,
       return make_error(Errc::bad_message, "LR matrix row count mismatch");
     }
     auto& slices = lr_matrix_tiles_[entry.combination_id][matrices.tile_index];
-    if (!slices.emplace(gdo_index, entry.matrix).second) {
+    if (!slices.try_emplace(gdo_index, std::move(entry.matrix)).second) {
       return make_error(Errc::bad_message, "duplicate LR matrices tile");
     }
   }
@@ -867,27 +871,23 @@ Status Coordinator::derive_leader_lr_tile(std::uint32_t tile) {
   for (std::size_t c = 0; c < announce_.combinations.size(); ++c) {
     if (combination_live(c)) live.push_back(c);
   }
-  // One EPC-charged per-tile basis at a time keeps the leader's transient
-  // working set O(tile) — the flat-memory half of the pipelined engine.
+  // One charged leader tile matrix keeps the leader's transient working set
+  // O(tile) — the flat-memory half of the pipelined engine.
   const bool leader_in_live = std::any_of(
       live.begin(), live.end(), [this](std::size_t c) {
         const auto& members = announce_.combinations[c];
         return std::find(members.begin(), members.end(),
                          leader_->gdo_index()) != members.end();
       });
-  stats::LrBasis leader_basis;
-  tee::EpcAllocation leader_basis_epc;
+  tee::EpcAllocation leader_tile_epc;
   if (leader_in_live) {
-    leader_basis = stats::LrBasis(leader_->planes(), retained);
-    auto epc = leader_->reserve_epc(leader_basis.storage_bytes());
+    auto epc = leader_->reserve_epc(leader_->planes().num_individuals() *
+                                    retained.size() * sizeof(double));
     if (!epc.ok()) return epc.error();
-    leader_basis_epc = std::move(epc).take();
-    obs::add_counter(obs_, "lr.basis_builds");
+    leader_tile_epc = std::move(epc).take();
     obs::observe(obs_, "epc.leader.tile_bytes",
                  static_cast<double>(leader_->platform().epc().in_use()));
   }
-  const stats::LrBasis reference_basis(reference_planes_, retained);
-  obs::add_counter(obs_, "lr.reference_basis_builds");
   // Every live combination's slices derive in full: its weights depend on
   // all of its members' counts, so nearly every column changes from one
   // combination to the next and there is nothing to reuse.
@@ -901,10 +901,12 @@ Status Coordinator::derive_leader_lr_tile(std::uint32_t tile) {
         lr_plan_.slice(reference_freq_, tile));
     if (std::find(members.begin(), members.end(), leader_->gdo_index()) !=
         members.end()) {
-      leader_tiles_[c][tile] = leader_basis.derive(weights);
+      leader_tiles_[c][tile] =
+          stats::build_lr_matrix(leader_->planes(), retained, weights);
       obs::add_counter(obs_, "lr.combination_matvecs");
     }
-    reference_tiles_[c][tile] = reference_basis.derive(weights);
+    reference_tiles_[c][tile] =
+        stats::build_lr_matrix(reference_planes_, retained, weights);
     obs::add_counter(obs_, "lr.reference_matvecs");
   }
   return Status::success();
@@ -923,32 +925,19 @@ Status Coordinator::derive_leader_lr_tiles() {
 }
 
 namespace {
-/// Reassembles a full-width matrix from its per-tile column slices. Pure
-/// cell copies, so the result is bit-identical to a monolithic build; the
-/// single-tile plan short-circuits to a plain copy.
-template <typename PieceFn>
-stats::LrMatrix assemble_column_tiles(const genome::TilePlan& plan,
-                                      PieceFn&& piece) {
-  if (plan.tile_count() == 0) return stats::LrMatrix();  // nothing survived
-  if (plan.tile_count() == 1) return piece(0);
-  const std::size_t rows = piece(0).rows();
-  const std::size_t total = plan.total();
-  stats::LrMatrix out(rows, total);
-  double* dst = out.values().data();
-  for (std::uint32_t k = 0; k < plan.tile_count(); ++k) {
-    const stats::LrMatrix& p = piece(k);
-    const std::size_t width = p.cols();
-    const double* src = p.values().data();
-    for (std::size_t r = 0; r < rows; ++r) {
-      std::copy(src + r * width, src + (r + 1) * width,
-                dst + r * total + plan.begin(k));
-    }
+/// Copies `tile` into `dst` with its first cell at (`row`, `col`), column
+/// by column (exact cell copies), then frees the tile.
+void move_tile_into(stats::LrMatrix& dst, std::size_t row, std::size_t col,
+                    stats::LrMatrix& tile) {
+  for (std::size_t i = 0; i < tile.cols(); ++i) {
+    const std::span<const double> src = tile.column(i);
+    std::copy(src.begin(), src.end(), dst.column(col + i).begin() + row);
   }
-  return out;
+  tile = stats::LrMatrix();
 }
 }  // namespace
 
-Result<Phase3Result> Coordinator::run_lr_phase(common::ThreadPool* pool) {
+Result<Phase3Result> Coordinator::run_lr_phase() {
   // Leader-side tile derivations normally ran pipelined (while members
   // computed theirs); finish whatever remains, then select globally.
   if (Status s = derive_leader_lr_tiles(); !s.ok()) {
@@ -972,42 +961,36 @@ Result<Phase3Result> Coordinator::run_lr_phase(common::ThreadPool* pool) {
     return no_live_combination_error("LR phase");
   }
 
-  // Selects one combination's safe columns over all of L''; the eager fold
-  // below evaluates combinations one at a time, so the pool always threads
-  // into the selection kernel itself.
+  // Selects one combination's safe columns over all of L''.
   auto evaluate = [&](std::size_t c) -> stats::LrSelectionResult {
     const obs::ScopedSpan combination_span(
         obs::recorder_of(obs_), "lr.combination." + std::to_string(c),
         lr_span_->id());
     obs::add_counter(obs_, "coordinator.lr_combinations");
-    const auto& members = announce_.combinations[c];
     // The selection is a global greedy over all of L'' (running per-row
-    // sums), so full-width matrices reassemble from the gathered column
+    // sums), so the full-width matrices assemble from the gathered column
     // tiles first; every cell is an exact copy of its tiled counterpart.
-    stats::LrMatrix merged;
-    for (std::uint32_t g : members) {  // ascending GDO order by construction
-      if (g == leader_->gdo_index()) {
-        merged.append_rows(assemble_column_tiles(
-            lr_plan_,
-            [&](std::uint32_t k) -> const stats::LrMatrix& {
-              return leader_tiles_[c][k];
-            }));
-      } else {
-        merged.append_rows(assemble_column_tiles(
-            lr_plan_,
-            [&](std::uint32_t k) -> const stats::LrMatrix& {
-              return lr_matrix_tiles_[c][k].at(g);
-            }));
+    const std::size_t width = l_double_prime_.size();
+    stats::LrMatrix merged(combination_case_population(c), width);
+    stats::LrMatrix reference_lr(reference_planes_.num_individuals(), width);
+    for (std::uint32_t k = 0; k < lr_plan_.tile_count(); ++k) {
+      std::size_t row = 0;
+      // Ascending GDO order by construction: the centralized row order.
+      for (std::uint32_t g : announce_.combinations[c]) {
+        stats::LrMatrix& tile = g == leader_->gdo_index()
+                                    ? leader_tiles_[c][k]
+                                    : lr_matrix_tiles_[c][k].at(g);
+        const std::size_t rows = tile.rows();
+        move_tile_into(merged, row, lr_plan_.begin(k), tile);
+        row += rows;
       }
+      move_tile_into(reference_lr, 0, lr_plan_.begin(k),
+                     reference_tiles_[c][k]);
     }
-    const stats::LrMatrix reference_lr = assemble_column_tiles(
-        lr_plan_, [&](std::uint32_t k) -> const stats::LrMatrix& {
-          return reference_tiles_[c][k];
-        });
     stats::LrSelectionParams params;
     params.false_positive_rate = announce_.config.lr_false_positive_rate;
     params.power_threshold = announce_.config.lr_power_threshold;
-    return stats::select_safe_snps(merged, reference_lr, params, pool);
+    return stats::select_safe_snps(merged, reference_lr, params);
   };
 
   // Eager fold over the evaluation order. Each selection still runs over

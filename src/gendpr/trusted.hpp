@@ -23,7 +23,6 @@
 
 #include "common/coro.hpp"
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 #include "gendpr/config.hpp"
 #include "gendpr/messages.hpp"
 #include "genome/bitplanes.hpp"
@@ -51,12 +50,12 @@ class GdoEnclave : public tee::Enclave {
   std::uint32_t gdo_index() const noexcept { return gdo_index_; }
 
   /// Loads the GDO's local case genotypes into the enclave (models decrypting
-  /// the sealed local dataset; accounted against the EPC meter). Also builds
-  /// the SNP-major bit-plane transpose the statistical kernels run on; the
-  /// planes are charged against the EPC meter like the dataset itself.
+  /// the sealed local dataset) and transposes them into the SNP-major bit
+  /// planes, the enclave's only genotype layout. The packed input is charged
+  /// against the EPC meter while the planes are built and freed with its
+  /// charge afterwards; the planes stay charged.
   common::Status provision_dataset(genome::GenotypeMatrix cases);
 
-  const genome::GenotypeMatrix& dataset() const noexcept { return cases_; }
   const genome::BitPlanes& planes() const noexcept { return planes_; }
 
   /// --- protocol handlers (member role) ---
@@ -72,17 +71,15 @@ class GdoEnclave : public tee::Enclave {
   common::Result<MomentsResponse> on_moments_request(
       const MomentsRequest& request) const;
   /// Builds one local LR matrix per live combination containing this GDO
-  /// (paper Fig. 4 step 2). The genotype-fixed LR basis is expanded once
-  /// from the bit planes (charged transiently against the EPC meter), each
-  /// combination's frequency vector is derived locally from the announce's
-  /// combination list and the per-GDO counts, and the matrices come out as
-  /// basis-times-weights products — bit-identical to per-combination
-  /// rebuilds. Entries are derived serially, in announce order. The basis
-  /// is built iff the result has at least one entry.
+  /// (paper Fig. 4 step 2). Each combination's frequency vector is derived
+  /// locally from the announce's combination list and the per-GDO counts,
+  /// and its matrix is filled column by column straight from the bit
+  /// planes. Entries are derived serially, in announce order. While they
+  /// are derived, one tile matrix's bytes are charged against the EPC meter.
   ///
   /// Under tiling the leader streams `result.num_tiles` tile messages in
-  /// ascending `tile_index` order; each is handled independently (basis and
-  /// matrices over the tile's columns only, so the transient working set is
+  /// ascending `tile_index` order; each is handled independently (matrices
+  /// over the tile's columns only, so the transient working set is
   /// O(tile)), and L'' accumulates across the stream. Out-of-order or
   /// repeated tiles are a protocol violation.
   common::Result<LrMatrices> on_phase2(const Phase2Result& result);
@@ -105,9 +102,7 @@ class GdoEnclave : public tee::Enclave {
 
  private:
   std::uint32_t gdo_index_;
-  genome::GenotypeMatrix cases_;
   genome::BitPlanes planes_;
-  tee::EpcAllocation dataset_epc_;
   tee::EpcAllocation planes_epc_;
 
   std::optional<StudyAnnounce> announce_;
@@ -149,8 +144,9 @@ struct PruningStats {
   std::uint64_t lr_selections_skipped = 0;
 };
 
-/// Leader-side coordination module. Owns the reference panel (public data)
-/// and the leader GDO's own enclave for its local dataset.
+/// Leader-side coordination module. Owns the reference panel (public data,
+/// kept as bit planes) and the leader GDO's own enclave for its local
+/// dataset.
 ///
 /// Every phase runs the intersection-aware sweep of §5.6's combinations:
 /// live combinations are evaluated smallest case population first and the
@@ -181,8 +177,9 @@ class Coordinator {
       std::function<common::Task<std::vector<std::optional<stats::LdMoments>>>(
           const MomentsRequest&, const std::vector<std::uint32_t>&)>;
 
-  Coordinator(GdoEnclave& leader_enclave, genome::GenotypeMatrix reference,
-              std::uint32_t num_gdos, StudyAnnounce announce);
+  Coordinator(GdoEnclave& leader_enclave,
+              const genome::GenotypeMatrix& reference, std::uint32_t num_gdos,
+              StudyAnnounce announce);
 
   const StudyAnnounce& announce() const noexcept { return announce_; }
 
@@ -259,21 +256,24 @@ class Coordinator {
   std::vector<Phase2Result> phase2_tiles() const;
 
   /// --- Phase 3 ---
+  /// Stores one member's LR matrices tile; the matrices move into storage.
   common::Status add_lr_matrices(std::uint32_t gdo_index,
-                                 const LrMatrices& matrices);
+                                 LrMatrices matrices);
   bool phase3_ready() const noexcept;
   /// Derives the leader's own and the reference panel's per-tile LR matrix
-  /// slices for every live combination (one EPC-charged per-tile basis at a
-  /// time, so the leader's transient working set is O(tile) like the
-  /// members'). Idempotent; run_lr_phase calls it for whatever remains. The
+  /// slices for every live combination, straight from the bit planes. One
+  /// leader tile matrix's bytes are charged against the EPC meter while a
+  /// tile derives, so the charged working set is O(tile) like the
+  /// members'. Idempotent; run_lr_phase calls it for whatever remains. The
   /// host calls it right after broadcasting the phase-2 tiles so this
   /// leader-side assessment overlaps the members' own tile computations.
   common::Status derive_leader_lr_tiles();
-  /// Merges per-combination LR matrices (ascending GDO order, reassembling
-  /// full-width matrices from the per-tile column slices), runs the
-  /// safe-subset selection per combination in evaluation order, and folds
-  /// the intersection. `pool` (may be null) parallelises each selection.
-  common::Result<Phase3Result> run_lr_phase(common::ThreadPool* pool);
+  /// Merges per-combination LR matrices, runs the safe-subset selection per
+  /// combination in evaluation order, and folds the intersection. Each
+  /// combination's case matrix (member rows in ascending GDO order) and
+  /// reference matrix are allocated once at full width; every stored tile
+  /// is copied into its block once and then freed.
+  common::Result<Phase3Result> run_lr_phase();
 
   const SelectionOutcome& outcome() const noexcept { return outcome_; }
 
@@ -314,7 +314,6 @@ class Coordinator {
   void reassess_maf_tiles();
 
   GdoEnclave* leader_;
-  genome::GenotypeMatrix reference_;
   genome::BitPlanes reference_planes_;
   std::uint32_t num_gdos_;
   StudyAnnounce announce_;
@@ -368,6 +367,7 @@ class Coordinator {
   std::vector<double> reference_freq_;
   /// lr_matrix_tiles_[combination_id][tile][gdo_index] -> column slice of
   /// the member's LR matrix (only set for members of the combination).
+  /// run_lr_phase frees each slice once it is merged.
   /// Sized at the end of the LD phase, when the L'' tile plan is known.
   std::vector<std::vector<std::map<std::uint32_t, stats::LrMatrix>>>
       lr_matrix_tiles_;

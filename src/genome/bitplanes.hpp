@@ -11,8 +11,8 @@
 // mu_xy = popcount(plane_x & plane_y)) derivable without touching the words
 // at all for the marginal terms.
 //
-// Built once per provisioned dataset and kept alongside the row-major matrix;
-// both layouts are charged against the EPC meter (see DESIGN.md §2.1).
+// Built once per provisioned dataset; inside an enclave it is the only
+// genotype layout, charged against the EPC meter (see DESIGN.md §2.1).
 #pragma once
 
 #include <cstdint>

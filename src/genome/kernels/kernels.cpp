@@ -30,12 +30,12 @@ std::uint64_t and_popcount_words_portable(const std::uint64_t* a,
   return count;
 }
 
-void select_weights_portable(const std::uint8_t* indicator,
-                             const double* when_minor,
-                             const double* when_major, std::size_t n,
-                             double* out) {
+void select_bits_portable(const std::uint64_t* plane, double when_minor,
+                          double when_major, std::size_t n, double* out) {
+  // Indexed by the bit, not branched on it: genotype bits are unpredictable.
+  const double weight[2] = {when_major, when_minor};
   for (std::size_t i = 0; i < n; ++i) {
-    out[i] = indicator[i] != 0 ? when_minor[i] : when_major[i];
+    out[i] = weight[(plane[i / 64] >> (i % 64)) & 1];
   }
 }
 
@@ -46,19 +46,19 @@ namespace {
 constexpr KernelOps kPortableOps = {
     &detail::popcount_words_portable,
     &detail::and_popcount_words_portable,
-    &detail::select_weights_portable,
+    &detail::select_bits_portable,
 };
 
 constexpr KernelOps kAvx2Ops = {
     &detail::popcount_words_avx2,
     &detail::and_popcount_words_avx2,
-    &detail::select_weights_avx2,
+    &detail::select_bits_avx2,
 };
 
 constexpr KernelOps kAvx512Ops = {
     &detail::popcount_words_avx512,
     &detail::and_popcount_words_avx512,
-    &detail::select_weights_avx512,
+    &detail::select_bits_avx512,
 };
 
 KernelBackend best_available_backend() noexcept {

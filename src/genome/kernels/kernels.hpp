@@ -2,8 +2,8 @@
 //
 // The three loops that dominate wide studies — per-plane popcounts (allele
 // counts), AND+popcount over plane pairs (the one non-marginal LD moment),
-// and the indicator-select that derives an LR matrix from a genotype-fixed
-// basis — are pure integer/select operations, so a vectorized backend can be
+// and the bit-select that fills an LR-matrix column straight from a bit
+// plane — are pure integer/select operations, so a vectorized backend can be
 // bit-identical to the portable one. This header is the seam: the same
 // pattern as crypto's AEAD engine (crypto/gcm_backend.hpp), with each ISA
 // variant compiled in its own translation unit under scoped compiler flags
@@ -23,8 +23,8 @@ namespace gendpr::genome::kernels {
 
 enum class KernelBackend : std::uint8_t {
   portable = 0,  // std::popcount / scalar select, any CPU
-  avx2 = 1,      // Harley-Seal CSA + vpshufb nibble-LUT popcount
-  avx512 = 2,    // vpopcntq (AVX-512F/BW/VPOPCNTDQ) + masked blends
+  avx2 = 1,      // Harley-Seal CSA + vpshufb nibble-LUT popcount, blendv
+  avx512 = 2,    // vpopcntq (AVX-512F/BW/VPOPCNTDQ) + mask-register blends
 };
 
 /// Stable lowercase name, exported as the run report's `kernel.backend`.
@@ -46,11 +46,11 @@ struct KernelOps {
   /// Sum of std::popcount(a[i] & b[i]) over [0..n).
   std::uint64_t (*and_popcount_words)(const std::uint64_t* a,
                                       const std::uint64_t* b, std::size_t n);
-  /// out[i] = indicator[i] != 0 ? when_minor[i] : when_major[i] — the
-  /// LrBasis row derivation (a pure select, hence exact).
-  void (*select_weights)(const std::uint8_t* indicator,
-                         const double* when_minor, const double* when_major,
-                         std::size_t n, double* out);
+  /// out[i] = bit i of plane ? when_minor : when_major for i in [0, n):
+  /// one LR-matrix column from one bit plane (a pure select, hence exact).
+  /// Reads ceil(n / 64) words; bits at and past n are ignored.
+  void (*select_bits)(const std::uint64_t* plane, double when_minor,
+                      double when_major, std::size_t n, double* out);
 };
 
 /// Ops for an explicit backend; unavailable backends resolve to portable.

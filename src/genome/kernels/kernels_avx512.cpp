@@ -10,7 +10,6 @@
 #include <immintrin.h>
 
 #include <bit>
-#include <cstring>
 #endif
 
 namespace gendpr::genome::kernels::detail {
@@ -18,6 +17,20 @@ namespace gendpr::genome::kernels::detail {
 #if defined(GENDPR_AVX512_KERNELS)
 
 bool avx512_kernels_compiled() noexcept { return true; }
+
+namespace {
+
+/// Horizontal sum of the eight u64 lanes. Spelled out instead of
+/// _mm512_reduce_add_epi64, whose GCC 12 expansion trips -Wuninitialized.
+inline std::uint64_t reduce_add512(__m512i v) noexcept {
+  alignas(64) std::uint64_t lanes[8];
+  _mm512_store_si512(lanes, v);
+  std::uint64_t sum = 0;
+  for (const std::uint64_t lane : lanes) sum += lane;
+  return sum;
+}
+
+}  // namespace
 
 std::uint64_t popcount_words_avx512(const std::uint64_t* words,
                                     std::size_t n) {
@@ -27,8 +40,7 @@ std::uint64_t popcount_words_avx512(const std::uint64_t* words,
     const __m512i v = _mm512_loadu_si512(words + i);
     total = _mm512_add_epi64(total, _mm512_popcnt_epi64(v));
   }
-  std::uint64_t count = static_cast<std::uint64_t>(
-      _mm512_reduce_add_epi64(total));
+  std::uint64_t count = reduce_add512(total);
   for (; i < n; ++i) {
     count += static_cast<std::uint64_t>(std::popcount(words[i]));
   }
@@ -45,31 +57,25 @@ std::uint64_t and_popcount_words_avx512(const std::uint64_t* a,
         _mm512_and_si512(_mm512_loadu_si512(a + i), _mm512_loadu_si512(b + i));
     total = _mm512_add_epi64(total, _mm512_popcnt_epi64(v));
   }
-  std::uint64_t count = static_cast<std::uint64_t>(
-      _mm512_reduce_add_epi64(total));
+  std::uint64_t count = reduce_add512(total);
   for (; i < n; ++i) {
     count += static_cast<std::uint64_t>(std::popcount(a[i] & b[i]));
   }
   return count;
 }
 
-void select_weights_avx512(const std::uint8_t* indicator,
-                           const double* when_minor, const double* when_major,
-                           std::size_t n, double* out) {
+void select_bits_avx512(const std::uint64_t* plane, double when_minor,
+                        double when_major, std::size_t n, double* out) {
+  const __m512d minor = _mm512_set1_pd(when_minor);
+  const __m512d major = _mm512_set1_pd(when_major);
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    std::uint64_t packed;
-    std::memcpy(&packed, indicator + i, sizeof(packed));
-    const __m128i bytes =
-        _mm_cvtsi64_si128(static_cast<long long>(packed));
-    const __mmask8 mask = _mm512_cmpneq_epi64_mask(
-        _mm512_cvtepu8_epi64(bytes), _mm512_setzero_si512());
-    const __m512d minor = _mm512_loadu_pd(when_minor + i);
-    const __m512d major = _mm512_loadu_pd(when_major + i);
+    // Eight genotype bits are the blend's mask register as they stand.
+    const auto mask = static_cast<__mmask8>(plane[i / 64] >> (i % 64));
     _mm512_storeu_pd(out + i, _mm512_mask_blend_pd(mask, major, minor));
   }
   for (; i < n; ++i) {
-    out[i] = indicator[i] != 0 ? when_minor[i] : when_major[i];
+    out[i] = ((plane[i / 64] >> (i % 64)) & 1) != 0 ? when_minor : when_major;
   }
 }
 
@@ -87,8 +93,8 @@ std::uint64_t and_popcount_words_avx512(const std::uint64_t*,
   return 0;
 }
 
-void select_weights_avx512(const std::uint8_t*, const double*, const double*,
-                           std::size_t, double*) {}
+void select_bits_avx512(const std::uint64_t*, double, double, std::size_t,
+                        double*) {}
 
 #endif  // GENDPR_AVX512_KERNELS
 

@@ -11,22 +11,26 @@
 // threshold (defaults mirror §7: FPR 0.1, power limit 0.9).
 //
 // `LrMatrix` is the exchanged artifact (one row per individual, one column
-// per SNP); GDOs build local matrices from *global* frequencies, the leader
-// concatenates them. `select_safe_snps` runs the empirical subset search:
-// SNPs are admitted in ascending order of identifying power and a candidate
-// is kept only if the resulting power stays below the limit.
+// per SNP, stored SNP-major); GDOs build local matrices from *global*
+// frequencies straight from their bit planes, the leader stacks them.
+// `select_safe_snps` runs the empirical subset search: SNPs are admitted in
+// ascending order of identifying power and a candidate is kept only if the
+// resulting power stays below the limit.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "genome/bitplanes.hpp"
 #include "genome/genotype.hpp"
 
 namespace gendpr::stats {
 
-/// Dense row-major matrix of per-individual, per-SNP LR contributions.
+/// Dense matrix of per-individual, per-SNP LR contributions, stored
+/// SNP-major: each column (one SNP, every individual) is contiguous, so
+/// derivation from a bit plane and the selection's per-candidate pass both
+/// stream one column at a time.
 class LrMatrix {
  public:
   LrMatrix() = default;
@@ -37,12 +41,21 @@ class LrMatrix {
   std::size_t cols() const noexcept { return cols_; }
 
   double at(std::size_t row, std::size_t col) const noexcept {
-    return values_[row * cols_ + col];
+    return values_[col * rows_ + row];
   }
   double& at(std::size_t row, std::size_t col) noexcept {
-    return values_[row * cols_ + col];
+    return values_[col * rows_ + row];
   }
 
+  /// Column `col`: every individual's contribution at one SNP, in row order.
+  std::span<const double> column(std::size_t col) const noexcept {
+    return {values_.data() + col * rows_, rows_};
+  }
+  std::span<double> column(std::size_t col) noexcept {
+    return {values_.data() + col * rows_, rows_};
+  }
+
+  /// All cells, column after column (the wire order).
   const std::vector<double>& values() const noexcept { return values_; }
   std::vector<double>& values() noexcept { return values_; }
 
@@ -82,10 +95,10 @@ LrMatrix build_lr_matrix(const genome::GenotypeMatrix& genotypes,
                          const std::vector<std::uint32_t>& snps,
                          const LrWeights& weights);
 
-/// Word-parallel LR-matrix fill from SNP-major bit planes: reads one plane
-/// word per 64 individuals and writes rows contiguously, instead of one
-/// get() call per matrix cell. Output is bit-identical to the scalar build
-/// (each cell is one of the same two weight values).
+/// LR-matrix fill from SNP-major bit planes: each column is one plane run
+/// through the bit-select kernel (a cell is one of the column's two weights,
+/// chosen by the genotype bit), so the result is bit-identical to the
+/// scalar build.
 LrMatrix build_lr_matrix(const genome::BitPlanes& planes,
                          const std::vector<std::uint32_t>& snps,
                          const LrWeights& weights,
@@ -94,46 +107,6 @@ LrMatrix build_lr_matrix(const genome::BitPlanes& planes,
 LrMatrix build_lr_matrix(const genome::BitPlanes& planes,
                          const std::vector<std::uint32_t>& snps,
                          const LrWeights& weights);
-
-/// Genotype-fixed factor of the LR matrix, built once per SNP set.
-///
-/// Every LR-matrix cell is linear in the per-SNP weights over an indicator
-/// that depends only on the genotypes:
-///   cell(n, i) = b_{n,i} * when_minor[i] + (1 - b_{n,i}) * when_major[i]
-/// with b in {0, 1}. The collusion-tolerant mode (§5.6) evaluates the same
-/// genotypes under C(G, G-f) different weight vectors, so expanding the
-/// indicator once and deriving each combination's matrix as a cheap
-/// basis-times-weights product replaces C full bit-plane rebuilds with one
-/// build plus C sweeps. Because b is exactly 0 or 1, the product selects one
-/// of the two weight values verbatim — `derive` is bit-identical to
-/// `build_lr_matrix` over the same planes and SNP set (property-tested).
-class LrBasis {
- public:
-  LrBasis() = default;
-  /// Expands the 0/1 indicator of `planes` restricted to `snps` (row-major,
-  /// one byte per cell), reusing the word-gather sweep of the bit-plane
-  /// matrix build.
-  LrBasis(const genome::BitPlanes& planes,
-          const std::vector<std::uint32_t>& snps);
-
-  std::size_t rows() const noexcept { return rows_; }
-  std::size_t cols() const noexcept { return cols_; }
-  /// Bytes held by the expanded indicator (EPC accounting).
-  std::size_t storage_bytes() const noexcept { return indicator_.size(); }
-
-  /// Derives the LR matrix for one weight vector: one select per cell.
-  /// `snp_to_weight_col[i]` maps basis column i to its weight column.
-  LrMatrix derive(const LrWeights& weights,
-                  const std::vector<std::uint32_t>& snp_to_weight_col) const;
-
-  /// Identity-mapped overload (weight column i corresponds to basis col i).
-  LrMatrix derive(const LrWeights& weights) const;
-
- private:
-  std::size_t rows_ = 0;
-  std::size_t cols_ = 0;
-  std::vector<std::uint8_t> indicator_;  // row-major, values in {0, 1}
-};
 
 struct LrSelectionParams {
   double false_positive_rate = 0.1;  // beta in §7
@@ -150,16 +123,13 @@ struct LrSelectionResult {
 };
 
 /// Empirical safe-subset search over merged case and reference LR matrices
-/// (they must have equal column counts). Deterministic: depends only on the
-/// multiset of rows, so any GDO concatenation order yields the same result.
-/// `pool` (optional) parallelises the per-column gap pass and the
-/// per-candidate score updates; every per-column and per-row accumulation
-/// keeps its serial order, so the selection is identical with or without a
-/// pool. Must not be the pool currently running this call (no nesting).
+/// (they must have equal column counts). Deterministic for a given row
+/// order: the per-column means sum rows in ascending order, so the leader
+/// stacks member rows in ascending GDO order, the row order of the
+/// centralized cohort.
 LrSelectionResult select_safe_snps(const LrMatrix& case_lr,
                                    const LrMatrix& reference_lr,
-                                   const LrSelectionParams& params,
-                                   common::ThreadPool* pool = nullptr);
+                                   const LrSelectionParams& params);
 
 /// Detection power of the adversary for fixed per-individual LR scores:
 /// threshold = (1 - fpr) quantile of reference scores; power = fraction of

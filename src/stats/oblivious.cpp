@@ -63,8 +63,9 @@ LrMatrix oblivious_build_lr_matrix(const genome::GenotypeMatrix& genotypes,
                                    const std::vector<std::uint32_t>& snps,
                                    const LrWeights& weights) {
   LrMatrix matrix(genotypes.num_individuals(), snps.size());
-  for (std::size_t n = 0; n < genotypes.num_individuals(); ++n) {
-    for (std::size_t i = 0; i < snps.size(); ++i) {
+  // Column by column, the matrix's storage order (as build_lr_matrix).
+  for (std::size_t i = 0; i < snps.size(); ++i) {
+    for (std::size_t n = 0; n < genotypes.num_individuals(); ++n) {
       // Arithmetic select: no branch, uniform access pattern.
       const double g = genotypes.get(n, snps[i]) ? 1.0 : 0.0;
       matrix.at(n, i) =

@@ -115,23 +115,6 @@ TEST(CollusionTest, SafePowerBoundHoldsPerCombination) {
             spec.config.lr_power_threshold);
 }
 
-TEST(CollusionTest, ParallelAndSerialCombinationEvaluationAgree) {
-  const genome::Cohort cohort = collusion_cohort();
-  FederationSpec spec;
-  spec.num_gdos = 4;
-  spec.policy = CollusionPolicy::fixed(2);
-  spec.seed = 17;
-  spec.parallel_combinations = true;
-  const auto parallel = run_federated_study(cohort, spec);
-  spec.parallel_combinations = false;
-  const auto serial = run_federated_study(cohort, spec);
-  ASSERT_TRUE(parallel.ok());
-  ASSERT_TRUE(serial.ok());
-  EXPECT_EQ(parallel.value().outcome.l_safe, serial.value().outcome.l_safe);
-  EXPECT_EQ(parallel.value().outcome.l_double_prime,
-            serial.value().outcome.l_double_prime);
-}
-
 TEST(CollusionTest, VulnerableSnpsDetectedOnSkewedCohort) {
   // Build a cohort where one GDO's slice is distinctive: subsets that
   // isolate it have higher identification power, so the collusion-tolerant

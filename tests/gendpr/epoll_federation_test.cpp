@@ -39,8 +39,6 @@ TEST(EpollFederationTest, EightGdoStudyOnOneThreadMatchesThreaded) {
   FederationSpec spec;
   spec.num_gdos = 8;
   spec.seed = 17;
-  // Keep the epoll run strictly single-threaded: no compute pool either.
-  spec.parallel_combinations = false;
 
   spec.transport = FederationSpec::TransportMode::in_process;
   const auto in_process = run_federated_study(cohort, spec);
@@ -84,7 +82,6 @@ TEST(EpollFederationTest, MultiLoopShardingMatchesSingleLoop) {
   FederationSpec spec;
   spec.num_gdos = 8;
   spec.seed = 17;
-  spec.parallel_combinations = false;
   spec.transport = FederationSpec::TransportMode::in_process;
   const auto in_process = run_federated_study(cohort, spec);
   ASSERT_TRUE(in_process.ok()) << in_process.error().to_string();
@@ -173,31 +170,32 @@ TEST(EpollFederationTest, BroadcastSerializesEachMessageExactlyOnce) {
   FederationSpec spec;
   spec.num_gdos = 8;
   spec.seed = 17;
-  spec.parallel_combinations = false;
   spec.transport = FederationSpec::TransportMode::epoll;
   spec.obs = &observability;
   const auto result = run_federated_study(cohort, spec);
   ASSERT_TRUE(result.ok()) << result.error().to_string();
 
-  const double serializations =
+  const std::uint64_t serializations =
       observability.metrics.counter("wire.serializations");
-  const double reuses = observability.metrics.counter("wire.fanout_reuses");
-  const double records = observability.metrics.counter("wire.records_sent");
-  EXPECT_GT(serializations, 0.0);
-  EXPECT_GT(records, 0.0);
+  const std::uint64_t reuses =
+      observability.metrics.counter("wire.fanout_reuses");
+  const std::uint64_t records =
+      observability.metrics.counter("wire.records_sent");
+  EXPECT_GT(serializations, 0u);
+  EXPECT_GT(records, 0u);
   // Conservation: first seals plus reuses account for every sealed record.
   EXPECT_EQ(serializations + reuses, records);
   // Serialize-once means strictly fewer serializations than records: the
   // announce, phase-1, phase-2 tile, and phase-3 broadcasts each reach the
   // 7 members off ONE staging (6 reuses apiece beyond the first seal).
   EXPECT_LT(serializations, records);
-  EXPECT_GE(reuses, 3.0 * (8 - 2));
+  EXPECT_GE(reuses, 3u * (8 - 2));
 
   // The run pool fed the hubs and sessions, and its stats were exported.
   EXPECT_GT(observability.metrics.counter("net.pool.hits") +
                 observability.metrics.counter("net.pool.misses"),
-            0.0);
-  EXPECT_GT(observability.metrics.counter("wire.writev_batches"), 0.0);
+            0u);
+  EXPECT_GT(observability.metrics.counter("wire.writev_batches"), 0u);
 }
 
 TEST(EpollFederationTest, SilentMemberTimesOutOverEpoll) {

@@ -1,8 +1,9 @@
-// Property test for the collusion-tolerant LR phase: the genotype-fixed
-// basis path of GdoEnclave::on_phase2 must be bit-identical to the legacy
-// per-combination `build_lr_matrix` rebuild, across federation sizes
-// G in {3..6} and collusion bounds f in {1, 2}, and in the dead-GDO
-// degraded mode.
+// Property test for the collusion-tolerant LR phase: every matrix
+// GdoEnclave::on_phase2 derives from its bit planes (through the active
+// bit-select kernel) must be bit-identical to the scalar `build_lr_matrix`
+// over the packed genotypes, with weights rebuilt independently from the
+// combination's frequency vector, across federation sizes G in {3..6} and
+// collusion bounds f in {1, 2}, and in the dead-GDO degraded mode.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +24,8 @@ struct Federation {
   tee::QuotingAuthority authority{std::array<std::uint8_t, 32>{0x42}};
   std::vector<std::unique_ptr<tee::Platform>> platforms;
   std::vector<std::unique_ptr<GdoEnclave>> enclaves;
+  /// Each enclave's packed input, kept host-side for the scalar oracle.
+  std::vector<genome::GenotypeMatrix> slices;
   StudyAnnounce announce;
   Phase2Result phase2;
 };
@@ -31,7 +34,7 @@ Federation make_federation(std::uint32_t num_gdos, std::uint32_t f,
                            std::uint64_t seed) {
   Federation fed;
   genome::CohortSpec spec;
-  spec.num_case = 30 * num_gdos;
+  spec.num_case = 70 * num_gdos;  // 70 rows per GDO: a partial second word
   spec.num_control = 40;
   spec.num_snps = 48;
   spec.seed = seed;
@@ -59,16 +62,15 @@ Federation make_federation(std::uint32_t num_gdos, std::uint32_t f,
         g + 1, fed.authority, crypto::Csprng(platform_seed)));
     fed.enclaves.push_back(
         std::make_unique<GdoEnclave>(*fed.platforms[g], g));
-    EXPECT_TRUE(fed.enclaves[g]
-                    ->provision_dataset(cohort.cases.slice_rows(
-                        ranges[g].first, ranges[g].second))
-                    .ok());
+    fed.slices.push_back(
+        cohort.cases.slice_rows(ranges[g].first, ranges[g].second));
+    EXPECT_TRUE(fed.enclaves[g]->provision_dataset(fed.slices[g]).ok());
     EXPECT_TRUE(fed.enclaves[g]->on_study_announce(fed.announce).ok());
     EXPECT_TRUE(fed.enclaves[g]->on_phase1({fed.phase2.retained}).ok());
     fed.phase2.case_counts_per_gdo.push_back(
         fed.enclaves[g]->planes().allele_counts(fed.phase2.retained));
     fed.phase2.n_case_per_gdo.push_back(static_cast<std::uint32_t>(
-        fed.enclaves[g]->dataset().num_individuals()));
+        fed.enclaves[g]->planes().num_individuals()));
   }
   return fed;
 }
@@ -79,12 +81,13 @@ bool combination_contains(const std::vector<std::uint32_t>& members,
 }
 
 /// Runs on_phase2 on every enclave and checks each returned matrix against
-/// the legacy from-scratch rebuild: weights from the combination's derived
-/// frequency vector, then a full bit-plane `build_lr_matrix`. Returns the
+/// the scalar rebuild: weights from the combination's derived frequency
+/// vector, then `build_lr_matrix` over the packed slice. Returns the
 /// per-GDO entry counts so callers can assert coverage.
 std::vector<std::size_t> check_against_legacy_rebuild(Federation& fed) {
   std::vector<std::size_t> entry_counts;
-  for (const auto& enclave : fed.enclaves) {
+  for (std::size_t i = 0; i < fed.enclaves.size(); ++i) {
+    const auto& enclave = fed.enclaves[i];
     const auto matrices = enclave->on_phase2(fed.phase2);
     EXPECT_TRUE(matrices.ok());
     if (!matrices.ok()) return entry_counts;
@@ -94,8 +97,8 @@ std::vector<std::size_t> check_against_legacy_rebuild(Federation& fed) {
       const stats::LrWeights weights =
           stats::lr_weights(fed.phase2.combination_case_freq(members),
                             fed.phase2.reference_freq);
-      const stats::LrMatrix expected = stats::build_lr_matrix(
-          enclave->planes(), fed.phase2.retained, weights);
+      const stats::LrMatrix expected =
+          stats::build_lr_matrix(fed.slices[i], fed.phase2.retained, weights);
       EXPECT_EQ(entry.matrix, expected)
           << "gdo " << enclave->gdo_index() << " combination "
           << entry.combination_id;

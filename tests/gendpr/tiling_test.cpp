@@ -184,12 +184,12 @@ TEST(TilingTest, DegradedDeadGdoRunMatchesMonolithic) {
 TEST(TilingTest, TiledRunFitsUnderEpcLimitMonolithicExceeds) {
   // Self-calibrating flat-memory check: measure both modes' EPC peaks under
   // a generous limit, then re-run with a limit placed strictly between the
-  // leader's tiled and monolithic peaks. The tiled engine (O(tile)
-  // transient bases) must complete with the identical selection; the
-  // monolithic run must fail capacity_exceeded when the leader expands its
-  // full-width basis. The leader gets a deliberately oversized case slice
-  // so its basis — and therefore its peak — dominates the member's and the
-  // pinch point trips only the leader.
+  // leader's tiled and monolithic peaks. The tiled engine (one charged
+  // O(tile) LR matrix slice per node) must complete with the identical
+  // selection; the monolithic run must fail capacity_exceeded when the
+  // leader derives its full-width matrix. The leader gets a deliberately
+  // oversized case slice so its matrix — and therefore its peak — dominates
+  // the member's and the pinch point trips only the leader.
   const genome::Cohort cohort = test_cohort(420, 200, 220, 17);
   const std::uint32_t kWidth = 12;
   struct Run {
@@ -235,7 +235,7 @@ TEST(TilingTest, TiledRunFitsUnderEpcLimitMonolithicExceeds) {
   ASSERT_LT(tiled.leader_peak, mono.leader_peak)
       << "tiling did not lower the leader's transient peak";
   const std::uint64_t pinch = (tiled.leader_peak + mono.leader_peak) / 2;
-  // The pinch must bite the leader's full-width basis and nothing else.
+  // The pinch must bite the leader's full-width matrix and nothing else.
   ASSERT_LT(mono.member_peak, pinch);
   ASSERT_LT(tiled.member_peak, pinch);
 

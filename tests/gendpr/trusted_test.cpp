@@ -87,10 +87,11 @@ TEST(GdoEnclaveTest, ProvisionAccountsEpc) {
   Fixture f;
   GdoEnclave enclave(f.platform, 0);
   ASSERT_TRUE(enclave.provision_dataset(f.cohort.cases).ok());
-  // Both genotype layouts are charged: the packed rows and the SNP-major
-  // bit planes built from them (DESIGN.md §2.1).
+  // The packed rows are charged only while the bit planes are built from
+  // them; the planes are the enclave's one resident layout (DESIGN.md §2.1).
   const genome::BitPlanes planes(f.cohort.cases);
-  EXPECT_EQ(f.platform.epc().in_use(),
+  EXPECT_EQ(f.platform.epc().in_use(), planes.storage_bytes());
+  EXPECT_EQ(f.platform.epc().peak(),
             f.cohort.cases.storage_bytes() + planes.storage_bytes());
 }
 
@@ -152,7 +153,7 @@ Phase2Result make_phase2_counts(const GdoEnclave& enclave,
   phase2.retained = std::move(retained);
   phase2.reference_freq.assign(phase2.retained.size(), 0.25);
   const std::uint32_t n_case =
-      static_cast<std::uint32_t>(enclave.dataset().num_individuals());
+      static_cast<std::uint32_t>(enclave.planes().num_individuals());
   phase2.case_counts_per_gdo.assign(
       3, std::vector<std::uint32_t>(phase2.retained.size(), 7));
   phase2.case_counts_per_gdo[enclave.gdo_index()] =
@@ -295,7 +296,7 @@ TEST(CoordinatorTest, SingleGdoPipelineRunsEndToEnd) {
   EXPECT_LE(phase2.value().retained.size(), phase1.value().retained.size());
 
   ASSERT_TRUE(coordinator.phase3_ready());
-  const auto phase3 = coordinator.run_lr_phase(nullptr);
+  const auto phase3 = coordinator.run_lr_phase();
   ASSERT_TRUE(phase3.ok());
   EXPECT_LE(phase3.value().safe.size(), phase2.value().retained.size());
   EXPECT_LE(phase3.value().final_power, 0.9);

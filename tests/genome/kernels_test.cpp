@@ -99,31 +99,35 @@ TEST(KernelsTest, PopcountDegenerateAllZeroAllOne) {
 }
 
 TEST(KernelsTest, SelectWeightsMatchesPortable) {
+  // The bit-select fills one LR-matrix column from one bit plane. Row
+  // counts sweep the vector widths and the 64-bit word boundary; tail bits
+  // past n are set on purpose and must be ignored.
   common::Rng rng(7);
   const KernelOps& portable = kernel_ops_for(KernelBackend::portable);
-  for (KernelBackend backend : available_simd_backends()) {
+  std::vector<KernelBackend> backends = available_simd_backends();
+  backends.push_back(KernelBackend::portable);
+  for (KernelBackend backend : backends) {
     const KernelOps& ops = kernel_ops_for(backend);
-    for (std::size_t n : {0u, 1u, 3u, 4u, 5u, 7u, 8u, 9u, 31u, 257u}) {
-      std::vector<std::uint8_t> indicator(n);
-      std::vector<double> minor(n), major(n);
+    for (std::size_t n :
+         {0u, 1u, 3u, 4u, 5u, 7u, 8u, 9u, 31u, 63u, 64u, 65u, 127u, 257u}) {
+      std::vector<std::uint64_t> plane = random_words(rng, (n + 63) / 64 + 1);
+      const double minor = static_cast<double>(rng.next() % 1000) / 7.0;
+      const double major = -static_cast<double>(rng.next() % 1000) / 11.0;
+      std::vector<double> expected(n + 1, 1e300), got(n + 1, 1e300);
+      portable.select_bits(plane.data(), minor, major, n, expected.data());
+      ops.select_bits(plane.data(), minor, major, n, got.data());
       for (std::size_t i = 0; i < n; ++i) {
-        indicator[i] = static_cast<std::uint8_t>(rng.next() & 1);
-        minor[i] = static_cast<double>(rng.next() % 1000) / 7.0;
-        major[i] = -static_cast<double>(rng.next() % 1000) / 11.0;
-      }
-      std::vector<double> expected(n), got(n, 1e300);
-      portable.select_weights(indicator.data(), minor.data(), major.data(), n,
-                              expected.data());
-      ops.select_weights(indicator.data(), minor.data(), major.data(), n,
-                         got.data());
-      for (std::size_t i = 0; i < n; ++i) {
+        const bool bit = ((plane[i / 64] >> (i % 64)) & 1) != 0;
         // Bit-identity, not tolerance: a select must copy the exact double.
-        std::uint64_t e_bits, g_bits;
-        std::memcpy(&e_bits, &expected[i], 8);
-        std::memcpy(&g_bits, &got[i], 8);
-        EXPECT_EQ(g_bits, e_bits)
+        std::uint64_t want_bits, got_bits;
+        std::memcpy(&want_bits, bit ? &minor : &major, 8);
+        std::memcpy(&got_bits, &got[i], 8);
+        EXPECT_EQ(got_bits, want_bits)
             << kernel_backend_name(backend) << " n=" << n << " i=" << i;
+        EXPECT_EQ(expected[i], got[i]);
       }
+      // Nothing is written past n.
+      EXPECT_EQ(got[n], 1e300) << kernel_backend_name(backend) << " n=" << n;
     }
   }
 }

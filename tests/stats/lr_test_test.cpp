@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 
 namespace gendpr::stats {
 namespace {
@@ -67,6 +72,24 @@ TEST(LrMatrixTest, AppendRowsConcatenates) {
   EXPECT_EQ(a.rows(), 3u);
   EXPECT_DOUBLE_EQ(a.at(2, 1), 3.0);
   EXPECT_DOUBLE_EQ(a.at(0, 0), 1.0);
+  EXPECT_DOUBLE_EQ(a.at(1, 2), 2.0);
+  EXPECT_DOUBLE_EQ(a.at(2, 2), 0.0);
+}
+
+TEST(LrMatrixTest, ColumnsAreContiguousAndSnpMajor) {
+  LrMatrix m(3, 2);
+  for (std::size_t r = 0; r < 3; ++r) {
+    for (std::size_t c = 0; c < 2; ++c) {
+      m.at(r, c) = static_cast<double>(10 * c + r);
+    }
+  }
+  const std::span<const double> second = std::as_const(m).column(1);
+  ASSERT_EQ(second.size(), 3u);
+  EXPECT_EQ(second.data(), m.values().data() + 3);
+  EXPECT_DOUBLE_EQ(second[0], 10.0);
+  EXPECT_DOUBLE_EQ(second[2], 12.0);
+  // Wire order is column after column.
+  EXPECT_EQ(m.values(), (std::vector<double>{0, 1, 2, 10, 11, 12}));
 }
 
 TEST(LrMatrixTest, AppendToEmptyAdopts) {
@@ -86,66 +109,16 @@ TEST(LrMatrixTest, AppendColumnMismatchThrows) {
 }
 
 genome::GenotypeMatrix random_genotypes(std::size_t individuals,
-                                        std::size_t snps,
-                                        std::uint64_t seed) {
+                                        std::size_t snps, std::uint64_t seed,
+                                        double minor_rate = 0.3) {
   common::Rng rng(seed);
   genome::GenotypeMatrix g(individuals, snps);
   for (std::size_t n = 0; n < individuals; ++n) {
     for (std::size_t s = 0; s < snps; ++s) {
-      if (rng.bernoulli(0.3)) g.set(n, s, true);
+      if (rng.bernoulli(minor_rate)) g.set(n, s, true);
     }
   }
   return g;
-}
-
-LrWeights random_weights(std::size_t cols, std::uint64_t seed) {
-  common::Rng rng(seed);
-  std::vector<double> case_freq(cols);
-  std::vector<double> ref_freq(cols);
-  for (std::size_t i = 0; i < cols; ++i) {
-    case_freq[i] = rng.uniform(0.05, 0.95);
-    ref_freq[i] = rng.uniform(0.05, 0.95);
-  }
-  return lr_weights(case_freq, ref_freq);
-}
-
-TEST(LrBasisTest, DeriveBitIdenticalToBitPlaneBuild) {
-  // 130 rows spans three plane words per SNP; exercises the word tail.
-  const genome::GenotypeMatrix g = random_genotypes(130, 40, 11);
-  const genome::BitPlanes planes(g);
-  const std::vector<std::uint32_t> snps = {0, 3, 7, 12, 25, 39};
-  const LrBasis basis(planes, snps);
-  EXPECT_EQ(basis.rows(), 130u);
-  EXPECT_EQ(basis.cols(), snps.size());
-  EXPECT_EQ(basis.storage_bytes(), 130u * snps.size());
-  // The same basis serves several weight vectors; each derivation must be
-  // exactly the matrix a from-scratch bit-plane build would produce.
-  for (std::uint64_t seed : {1u, 2u, 3u}) {
-    const LrWeights w = random_weights(snps.size(), seed);
-    EXPECT_EQ(basis.derive(w), build_lr_matrix(planes, snps, w));
-  }
-}
-
-TEST(LrBasisTest, SubsetColumnsMapThroughWeightIndex) {
-  const genome::GenotypeMatrix g = random_genotypes(70, 20, 17);
-  const genome::BitPlanes planes(g);
-  // Weights indexed over the full SNP range; the basis covers a subset.
-  const std::vector<std::uint32_t> snps = {2, 9, 19};
-  const LrWeights w = random_weights(20, 4);
-  const std::vector<std::uint32_t> snp_to_weight_col = {2, 9, 19};
-  const LrBasis basis(planes, snps);
-  EXPECT_EQ(basis.derive(w, snp_to_weight_col),
-            build_lr_matrix(planes, snps, w, snp_to_weight_col));
-}
-
-TEST(LrBasisTest, EmptyBasisDerivesEmptyMatrix) {
-  const LrBasis empty;
-  EXPECT_EQ(empty.rows(), 0u);
-  EXPECT_EQ(empty.cols(), 0u);
-  EXPECT_EQ(empty.storage_bytes(), 0u);
-  const LrMatrix derived = empty.derive(LrWeights{});
-  EXPECT_EQ(derived.rows(), 0u);
-  EXPECT_EQ(derived.cols(), 0u);
 }
 
 TEST(DetectionPowerTest, SeparatedScoresFullPower) {
@@ -271,7 +244,9 @@ TEST_F(SelectSafeSnpsTest, PowerConstraintHolds) {
 }
 
 TEST_F(SelectSafeSnpsTest, RowOrderInvariance) {
-  // GenDPR merges GDO matrices in arbitrary order; selection must not care.
+  // Reordering rows changes only the rounding of the column sums, which
+  // does not move a selection with well-separated gaps. (GenDPR itself
+  // always stacks member rows in ascending GDO order.)
   const auto [case_lr, ref_lr] = synthetic(200, 200, 20, 4, 2.0, 13);
   LrMatrix reversed_case(case_lr.rows(), case_lr.cols());
   for (std::size_t r = 0; r < case_lr.rows(); ++r) {
@@ -285,20 +260,158 @@ TEST_F(SelectSafeSnpsTest, RowOrderInvariance) {
   EXPECT_DOUBLE_EQ(a.final_power, b.final_power);
 }
 
-TEST_F(SelectSafeSnpsTest, PooledSelectionBitIdenticalToSerial) {
-  // The pool splits the gap pass by column block and the candidate updates
-  // by row chunk; both preserve the serial accumulation order per element,
-  // so the selection must match exactly - the collusion tests rely on this.
-  common::ThreadPool pool(4);
-  for (std::uint64_t seed : {3ull, 19ull, 29ull}) {
-    const auto [case_lr, ref_lr] = synthetic(500, 500, 35, 8, 1.2, seed);
-    const auto serial = select_safe_snps(case_lr, ref_lr, LrSelectionParams{});
-    const auto pooled =
-        select_safe_snps(case_lr, ref_lr, LrSelectionParams{}, &pool);
-    EXPECT_EQ(serial.safe_columns, pooled.safe_columns) << "seed " << seed;
-    EXPECT_DOUBLE_EQ(serial.final_power, pooled.final_power);
-    EXPECT_DOUBLE_EQ(serial.final_threshold, pooled.final_threshold);
+/// Row-major copy of an LR matrix and the selection loop over it, cell for
+/// cell as the row-major layout ran it: column means from one row-major
+/// sweep, then per-candidate strided adds and roll-backs. The oracle for
+/// the SNP-major selection.
+struct RowMajorLr {
+  std::size_t rows = 0;
+  std::size_t cols = 0;
+  std::vector<double> values;  // values[r * cols + c]
+
+  explicit RowMajorLr(const LrMatrix& m)
+      : rows(m.rows()), cols(m.cols()), values(m.rows() * m.cols()) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) values[r * cols + c] = m.at(r, c);
+    }
   }
+  double at(std::size_t r, std::size_t c) const { return values[r * cols + c]; }
+
+  std::vector<double> column_means() const {
+    std::vector<double> sums(cols, 0.0);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) sums[c] += at(r, c);
+    }
+    const double denom = rows > 0 ? static_cast<double>(rows) : 1.0;
+    for (double& sum : sums) sum /= denom;
+    return sums;
+  }
+};
+
+LrSelectionResult row_major_select(const RowMajorLr& case_lr,
+                                   const RowMajorLr& ref_lr,
+                                   const LrSelectionParams& params) {
+  LrSelectionResult result;
+  const std::size_t cols = case_lr.cols;
+  if (cols == 0) return result;
+  const std::vector<double> case_means = case_lr.column_means();
+  const std::vector<double> ref_means = ref_lr.column_means();
+  std::vector<double> gap(cols);
+  for (std::size_t c = 0; c < cols; ++c) gap[c] = case_means[c] - ref_means[c];
+  std::vector<std::uint32_t> order(cols);
+  for (std::uint32_t c = 0; c < cols; ++c) order[c] = c;
+  std::stable_sort(order.begin(), order.end(),
+                   [&gap](std::uint32_t a, std::uint32_t b) {
+                     if (gap[a] != gap[b]) return gap[a] < gap[b];
+                     return a < b;
+                   });
+  std::vector<double> case_sums(case_lr.rows, 0.0);
+  std::vector<double> ref_sums(ref_lr.rows, 0.0);
+  auto apply = [](const RowMajorLr& m, std::uint32_t c, double sign,
+                  std::vector<double>& sums) {
+    for (std::size_t r = 0; r < m.rows; ++r) sums[r] += sign * m.at(r, c);
+  };
+  for (std::uint32_t candidate : order) {
+    apply(case_lr, candidate, 1.0, case_sums);
+    apply(ref_lr, candidate, 1.0, ref_sums);
+    double threshold = 0.0;
+    const double power = detection_power(
+        case_sums, ref_sums, params.false_positive_rate, &threshold);
+    if (power <= params.power_threshold) {
+      result.safe_columns.push_back(candidate);
+      result.final_power = power;
+      result.final_threshold = threshold;
+    } else {
+      apply(case_lr, candidate, -1.0, case_sums);
+      apply(ref_lr, candidate, -1.0, ref_sums);
+    }
+  }
+  std::sort(result.safe_columns.begin(), result.safe_columns.end());
+  return result;
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+void expect_bit_identical(const LrSelectionResult& got,
+                          const LrSelectionResult& want,
+                          const std::string& label) {
+  EXPECT_EQ(got.safe_columns, want.safe_columns) << label;
+  EXPECT_EQ(bits_of(got.final_power), bits_of(want.final_power)) << label;
+  EXPECT_EQ(bits_of(got.final_threshold), bits_of(want.final_threshold))
+      << label;
+}
+
+TEST_F(SelectSafeSnpsTest, BitIdenticalToRowMajorOracleOnSyntheticScores) {
+  std::size_t rejecting_runs = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    common::Rng shape(seed * 7919);
+    // Row counts deliberately off the 64-row word boundary.
+    const std::size_t n_case = 37 + shape.next() % 300;
+    const std::size_t n_ref = 41 + shape.next() % 300;
+    const std::size_t cols = 1 + shape.next() % 60;
+    const std::size_t identifying = shape.next() % (cols + 1);
+    const auto [case_lr, ref_lr] =
+        synthetic(n_case, n_ref, cols, identifying, 0.8, seed);
+    for (double limit : {0.9, 0.5, 0.2}) {
+      LrSelectionParams params;
+      params.power_threshold = limit;
+      const LrSelectionResult got = select_safe_snps(case_lr, ref_lr, params);
+      expect_bit_identical(got,
+                           row_major_select(RowMajorLr(case_lr),
+                                            RowMajorLr(ref_lr), params),
+                           "seed " + std::to_string(seed) + " limit " +
+                               std::to_string(limit));
+      if (got.safe_columns.size() < cols) ++rejecting_runs;
+    }
+  }
+  // The roll-back path must actually run.
+  EXPECT_GT(rejecting_runs, 10u);
+}
+
+TEST_F(SelectSafeSnpsTest, BitIdenticalToRowMajorOracleOnGenotypeMatrices) {
+  // Matrices as the protocol builds them: weights from the populations'
+  // own allele frequencies, every cell one of its column's two weights
+  // selected by a genotype bit. Cases carry the minor allele more often.
+  std::size_t rejecting_runs = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    common::Rng shape(seed * 104729);
+    const std::size_t n_case = 65 + shape.next() % 400;
+    const std::size_t n_ref = 63 + shape.next() % 400;
+    const std::size_t num_snps = 5 + shape.next() % 50;
+    const genome::BitPlanes cases(
+        random_genotypes(n_case, num_snps, seed, 0.4));
+    const genome::BitPlanes refs(random_genotypes(n_ref, num_snps, ~seed));
+    std::vector<std::uint32_t> snps;
+    std::vector<double> case_freq;
+    std::vector<double> ref_freq;
+    for (std::uint32_t l = 0; l < num_snps;
+         l += 1 + static_cast<std::uint32_t>(shape.next() % 2)) {
+      snps.push_back(l);
+      case_freq.push_back(static_cast<double>(cases.allele_count(l)) /
+                          static_cast<double>(n_case));
+      ref_freq.push_back(static_cast<double>(refs.allele_count(l)) /
+                         static_cast<double>(n_ref));
+    }
+    const LrWeights w = lr_weights(case_freq, ref_freq);
+    const LrMatrix case_lr = build_lr_matrix(cases, snps, w);
+    const LrMatrix ref_lr = build_lr_matrix(refs, snps, w);
+    for (double limit : {0.9, 0.4, 0.15}) {
+      LrSelectionParams params;
+      params.power_threshold = limit;
+      const LrSelectionResult got = select_safe_snps(case_lr, ref_lr, params);
+      expect_bit_identical(got,
+                           row_major_select(RowMajorLr(case_lr),
+                                            RowMajorLr(ref_lr), params),
+                           "seed " + std::to_string(seed) + " limit " +
+                               std::to_string(limit));
+      if (got.safe_columns.size() < snps.size()) ++rejecting_runs;
+    }
+  }
+  EXPECT_GT(rejecting_runs, 4u);
 }
 
 TEST_F(SelectSafeSnpsTest, EmptyMatrixGivesEmptyResult) {

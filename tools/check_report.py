@@ -225,60 +225,41 @@ def check_run_report(doc):
 def check_lr_counters(doc, study, tiles, degraded):
     """LR-phase accounting invariants over the exported counters.
 
-    Every node that receives a phase-2 tile expands one genotype-fixed LR
-    basis over that tile's columns (``lr.basis_builds``) and derives one
-    full matrix slice per live combination it belongs to; the leader also
-    derives the reference panel's slice per live combination. With
-    T = tiles.lr_count, a clean run pins the ledger exactly:
-        basis_builds == num_gdos * T
+    Every node that receives a phase-2 tile derives one matrix slice over
+    that tile's columns per live combination it belongs to, straight from
+    its bit planes; the leader also derives the reference panel's slice per
+    live combination. With T = tiles.lr_count, a clean run pins the ledger
+    exactly:
         combination_matvecs == combination_members_total * T
         reference_matvecs == live_combinations * T
-    and the leader builds the reference panel's basis once per tile.
 
-    A degraded run only bounds the totals: a member may build bases (and
-    derive matrices) and then be declared dead afterwards, so the counters
-    can reach the clean-run values but never pin to the post-mortem live
-    set.
+    A degraded run only bounds the total: a member may derive matrices and
+    then be declared dead afterwards, so the counter can reach the
+    clean-run value but never pins to the post-mortem live set.
     """
     metrics = doc.get("metrics")
     if not isinstance(metrics, dict):
         return  # run was not observed; nothing to cross-check
     counters = metrics.get("counters")
     require(isinstance(counters, dict), "metrics.counters missing")
-    basis = counters.get("lr.basis_builds", 0)
     matvecs = counters.get("lr.combination_matvecs", 0)
     ref_matvecs = counters.get("lr.reference_matvecs", 0)
-    num_gdos = study["num_gdos"]
     members_total = study["combination_members_total"]
     live_combinations = study["live_combinations"]
     lr_tiles = tiles["lr_count"]
     if lr_tiles == 0:
         require(
-            basis == 0 and matvecs == 0,
+            matvecs == 0 and ref_matvecs == 0,
             "LR derivation counters must be zero with an empty phase-3 plan",
-        )
-        require(
-            counters.get("lr.reference_basis_builds", 0) == 0,
-            "no reference basis with an empty phase-3 plan",
         )
         return
     if degraded:
-        require(
-            1 <= basis <= num_gdos * lr_tiles,
-            f"lr.basis_builds {basis} outside [1, {num_gdos * lr_tiles}] "
-            f"(degraded run)",
-        )
         require(
             matvecs >= members_total * lr_tiles,
             f"lr.combination_matvecs {matvecs} below the live-combination "
             f"member-tile total {members_total * lr_tiles}",
         )
     else:
-        require(
-            basis == num_gdos * lr_tiles,
-            f"lr.basis_builds {basis}: expected one basis build per GDO per "
-            f"tile ({num_gdos} * {lr_tiles})",
-        )
         require(
             matvecs == members_total * lr_tiles,
             f"lr.combination_matvecs {matvecs}: expected one derivation "
@@ -290,10 +271,6 @@ def check_lr_counters(doc, study, tiles, degraded):
             f"lr.reference_matvecs {ref_matvecs}: expected one per live "
             f"combination per tile ({live_combinations} * {lr_tiles})",
         )
-    require(
-        counters.get("lr.reference_basis_builds", 0) == lr_tiles,
-        "reference panel basis must be built exactly once per LR tile",
-    )
 
 
 def check_wire_counters(doc, study, tiles, degraded):
