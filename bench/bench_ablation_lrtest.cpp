@@ -77,8 +77,8 @@ BENCHMARK(BM_LrSelection_EmpiricalGreedy)
     ->Arg(400)
     ->Unit(benchmark::kMillisecond);
 
-// Packed-vs-bitplane comparison for the LR-matrix fill (phase-3 input prep):
-// per-element get() against the per-column bit-select over the planes.
+// Packed-vs-bitplane comparison for the dense LR-matrix fill (the oracle and
+// baseline path): per-element get() against the per-column bit-select.
 void BM_LrBuild_PackedScalar(benchmark::State& state) {
   const genome::Cohort& cohort = cohort_for(kPaperCasesHalf, 1000);
   const std::size_t cols = state.range(0);

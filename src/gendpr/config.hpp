@@ -13,13 +13,13 @@ struct StudyConfig {
   double ld_cutoff = 1e-5;
   double lr_false_positive_rate = 0.1;
   double lr_power_threshold = 0.9;
-  /// SNP-tile width for the pipelined phase engine. 0 disables tiling (one
+  /// SNP-tile width for the pipelined MAF phase. 0 disables tiling (one
   /// tile spanning the whole study — the original monolithic protocol).
-  /// With a positive width, phase-1 summaries and phase-3 inputs travel as
-  /// per-tile messages: message bodies and transient enclave working sets
-  /// stay O(tile) instead of O(num_snps), and the leader assesses tile k
-  /// while members stream tile k+1. Tiling never changes results: the
-  /// assembled per-phase state is independent of the tile boundaries.
+  /// With a positive width, phase-1 summaries travel as per-tile messages
+  /// whose bodies stay O(tile) instead of O(num_snps), and the leader
+  /// assesses tile k while members stream tile k+1. Tiling never changes
+  /// results: the assembled per-phase state is independent of the tile
+  /// boundaries.
   std::uint32_t snp_tile_width = 0;
 
   bool operator==(const StudyConfig&) const = default;

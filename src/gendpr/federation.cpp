@@ -125,6 +125,9 @@ Result<StudyResult> run_sessions(
     std::vector<double>& member_compute_ms) {
   const bool in_memory =
       transport == FederationSpec::TransportMode::in_process;
+  // The one name of the run's transport: the report and the metrics label
+  // both read it.
+  const char* transport_name = in_memory ? "in_process" : "epoll";
   const std::size_t num_loops =
       in_memory ? spec.num_gdos
                 : std::max<std::size_t>(
@@ -281,8 +284,7 @@ Result<StudyResult> run_sessions(
       writev_batches += ws.writev_batches;
       dial_dropped += ws.dial_dropped_frames;
     }
-    spec.obs->metrics.set_label("net.transport",
-                                in_memory ? "in_process" : "epoll");
+    spec.obs->metrics.set_label("net.transport", transport_name);
     spec.obs->metrics.set_gauge("net.event_loops",
                                 static_cast<double>(num_loops));
     spec.obs->metrics.add_counter("net.backpressure.pauses", pauses);
@@ -317,6 +319,7 @@ Result<StudyResult> run_sessions(
   }
 
   StudyResult study = leader.result();
+  study.transport = transport_name;
   // The leader hub terminates both directions of every link in the star, so
   // its meter sees all protocol traffic.
   const net::TrafficMeter& meter = hubs[leader_gdo]->meter();

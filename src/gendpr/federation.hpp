@@ -37,9 +37,9 @@ struct FederationSpec {
 
   std::uint32_t num_gdos = 3;
   /// Study thresholds, plus the engine shape: `config.snp_tile_width`
-  /// rides in the announce, so setting it here turns the whole federation
-  /// tiled (per-tile phase-1/phase-3 messages, pipelined leader
-  /// assessment) without changing any result bits.
+  /// rides in the announce, so setting it here tiles the MAF phase
+  /// (per-tile summaries, pipelined leader assessment) without changing
+  /// any result bits.
   StudyConfig config;
   CollusionPolicy policy = CollusionPolicy::none();
   /// Seeds leader election and all simulation crypto (deterministic runs).

@@ -59,33 +59,6 @@ Result<StudyConfig> read_config(wire::Reader& r) {
   return config;
 }
 
-std::size_t matrix_size(const stats::LrMatrix& m) {
-  return 4 + 4 + 8 * m.values().size();
-}
-
-void write_matrix(wire::Writer& w, const stats::LrMatrix& m) {
-  w.u32(static_cast<std::uint32_t>(m.rows()));
-  w.u32(static_cast<std::uint32_t>(m.cols()));
-  for (double v : m.values()) w.f64(v);
-}
-
-Result<stats::LrMatrix> read_matrix(wire::Reader& r) {
-  auto rows = r.u32();
-  if (!rows.ok()) return rows.error();
-  auto cols = r.u32();
-  if (!cols.ok()) return cols.error();
-  const std::uint64_t cells =
-      static_cast<std::uint64_t>(rows.value()) * cols.value();
-  if (cells > r.remaining() / 8) {
-    return make_error(Errc::bad_message, "LR matrix body truncated");
-  }
-  stats::LrMatrix m(rows.value(), cols.value());
-  for (std::uint64_t i = 0; i < cells; ++i) {
-    m.values()[i] = r.f64().value();  // size pre-validated
-  }
-  return m;
-}
-
 /// One exact-sized serialization: reserve encoded_size(), write, take.
 template <typename M>
 common::Bytes serialize_exact(const M& msg) {
@@ -269,7 +242,7 @@ std::size_t Phase2Result::encoded_size() const {
   for (const auto& counts : case_counts_per_gdo) {
     size += vec_u32_size(counts);
   }
-  size += vec_u32_size(n_case_per_gdo) + vec_u32_size(dead_gdos) + 4 + 4;
+  size += vec_u32_size(n_case_per_gdo) + vec_u32_size(dead_gdos);
   return size;
 }
 
@@ -282,8 +255,6 @@ void Phase2Result::serialize_into(wire::Writer& w) const {
   }
   w.vector_u32(n_case_per_gdo);
   w.vector_u32(dead_gdos);
-  w.u32(tile_index);
-  w.u32(num_tiles);
 }
 
 common::Bytes Phase2Result::serialize() const { return serialize_exact(*this); }
@@ -314,56 +285,24 @@ Result<Phase2Result> Phase2Result::deserialize(common::BytesView data) {
   auto dead = r.vector_u32();
   if (!dead.ok()) return dead.error();
   msg.dead_gdos = std::move(dead).take();
-  auto tile = r.u32();
-  if (!tile.ok()) return tile.error();
-  msg.tile_index = tile.value();
-  auto tiles = r.u32();
-  if (!tiles.ok()) return tiles.error();
-  msg.num_tiles = tiles.value();
-  if (msg.num_tiles == 0 || msg.tile_index >= msg.num_tiles) {
-    return make_error(Errc::bad_message, "phase2 tile index out of range");
-  }
   if (!r.exhausted()) return trailing();
   return msg;
 }
 
-std::size_t LrMatrices::encoded_size() const {
-  std::size_t size = varint_size(entries.size());
-  for (const Entry& entry : entries) {
-    size += 4 + matrix_size(entry.matrix);
-  }
-  return size + 4;
+std::size_t LrBits::encoded_size() const {
+  return varint_size(words.size()) + 8 * words.size();
 }
 
-void LrMatrices::serialize_into(wire::Writer& w) const {
-  w.varint(entries.size());
-  for (const Entry& entry : entries) {
-    w.u32(entry.combination_id);
-    write_matrix(w, entry.matrix);
-  }
-  w.u32(tile_index);
-}
+void LrBits::serialize_into(wire::Writer& w) const { w.vector_u64(words); }
 
-common::Bytes LrMatrices::serialize() const { return serialize_exact(*this); }
+common::Bytes LrBits::serialize() const { return serialize_exact(*this); }
 
-Result<LrMatrices> LrMatrices::deserialize(common::BytesView data) {
+Result<LrBits> LrBits::deserialize(common::BytesView data) {
   wire::Reader r(data);
-  LrMatrices msg;
-  auto count = r.varint();
-  if (!count.ok()) return count.error();
-  for (std::uint64_t i = 0; i < count.value(); ++i) {
-    Entry entry;
-    auto id = r.u32();
-    if (!id.ok()) return id.error();
-    entry.combination_id = id.value();
-    auto matrix = read_matrix(r);
-    if (!matrix.ok()) return matrix.error();
-    entry.matrix = std::move(matrix).take();
-    msg.entries.push_back(std::move(entry));
-  }
-  auto tile = r.u32();
-  if (!tile.ok()) return tile.error();
-  msg.tile_index = tile.value();
+  LrBits msg;
+  auto words = r.vector_u64();
+  if (!words.ok()) return words.error();
+  msg.words = std::move(words).take();
   if (!r.exhausted()) return trailing();
   return msg;
 }

@@ -15,7 +15,6 @@
 #include "common/error.hpp"
 #include "gendpr/config.hpp"
 #include "stats/ld.hpp"
-#include "stats/lr_test.hpp"
 #include "wire/serialize.hpp"
 
 namespace gendpr::core {
@@ -27,7 +26,7 @@ enum class MsgType : std::uint8_t {
   moments_request = 4,
   moments_response = 5,
   phase2_result = 6,
-  lr_matrices = 7,
+  lr_bits = 7,
   phase3_result = 8,
   abort_notice = 9,
 };
@@ -102,14 +101,14 @@ struct MomentsResponse {
 };
 
 /// Leader -> members: SNPs retained after LD pruning plus the inputs needed
-/// to build correct LR matrices (paper Fig. 4 step 1). Instead of one
-/// leader-derived case-frequency vector per combination (O(C·m) doubles),
-/// the leader ships each GDO's allele counts over L'' once (O(G·m)); every
-/// member derives any combination's frequency vector locally via
-/// `combination_case_freq`. Trust-equivalent: counts and frequencies travel
-/// only between mutually attested enclaves on encrypted channels, and the
-/// per-GDO counts already crossed the wire in phase 1. Strictly smaller
-/// whenever C(G, G-f) > G, i.e. every f >= 2 setting.
+/// to weigh LR columns (paper Fig. 4 step 1). Instead of one leader-derived
+/// case-frequency vector per combination (O(C·m) doubles), the leader ships
+/// each GDO's allele counts over L'' once (O(G·m)); every member derives
+/// any combination's frequency vector locally via `combination_case_freq`.
+/// Trust-equivalent: counts and frequencies travel only between mutually
+/// attested enclaves on encrypted channels, and the per-GDO counts already
+/// crossed the wire in phase 1. Strictly smaller whenever C(G, G-f) > G,
+/// i.e. every f >= 2 setting.
 struct Phase2Result {
   std::vector<std::uint32_t> retained;  // L''
   std::vector<double> reference_freq;   // over L''
@@ -122,14 +121,6 @@ struct Phase2Result {
   /// them are skipped by members (§5.6 degraded mode: surviving
   /// combinations still complete).
   std::vector<std::uint32_t> dead_gdos;
-  /// Tile position within the leader's phase-3 TilePlan over L''. The
-  /// monolithic protocol is the `tile_index` 0 / `num_tiles` 1 special
-  /// case; with tiling, `retained`, `reference_freq` and the per-GDO count
-  /// vectors hold only this tile's columns (global SNP ids stay global) and
-  /// members reply with one LrMatrices per tile. Each tile message is
-  /// self-contained: a member needs no cross-tile state to answer it.
-  std::uint32_t tile_index = 0;
-  std::uint32_t num_tiles = 1;
 
   /// Case-frequency vector of the combination whose honest subset is
   /// `members`: exact u64 count and population sums over the members
@@ -146,25 +137,22 @@ struct Phase2Result {
   static common::Result<Phase2Result> deserialize(common::BytesView data);
 };
 
-/// Member -> leader: local LR matrices, one per combination that includes
-/// this GDO, each built with that combination's frequency vector. Under
-/// tiling, each matrix covers only the columns of `tile_index`'s slice of
-/// L'' (the reply mirrors the Phase2Result tile it answers); the leader
-/// reassembles full-width matrices column-slice by column-slice before the
-/// global safe-subset selection, which is exact because every matrix cell
-/// depends on its own column only.
-struct LrMatrices {
-  struct Entry {
-    std::uint32_t combination_id = 0;
-    stats::LrMatrix matrix;
-  };
-  std::vector<Entry> entries;
-  std::uint32_t tile_index = 0;
+/// Member -> leader: the member's genotype bits over L'' (paper Fig. 4
+/// step 2), once per study whatever the collusion policy. `words` holds one
+/// bit plane per L'' SNP, in L'' order, each `genome::plane_words(n_case)`
+/// words long with bit r = case r's genotype (tail bits zero). Every LR
+/// cell is `bit ? w_minor : w_major` and the leader knows every weight, so
+/// the bits carry exactly the information of the dense LR matrices. A
+/// column whose two weights are bitwise equal in every live combination
+/// containing the member travels as zero words: its dense cells reveal
+/// nothing about the bits, so neither may the reply.
+struct LrBits {
+  std::vector<std::uint64_t> words;
 
   std::size_t encoded_size() const;
   void serialize_into(wire::Writer& w) const;
   common::Bytes serialize() const;
-  static common::Result<LrMatrices> deserialize(common::BytesView data);
+  static common::Result<LrBits> deserialize(common::BytesView data);
 };
 
 /// Leader -> members: the final safe SNP set (intersection over

@@ -10,7 +10,7 @@ obs::JsonValue make_run_report(const StudyResult& study,
                                const ReportContext& context) {
   JsonValue report = JsonValue::object();
   report.set("schema", kRunReportSchema);
-  report.set("transport", context.transport);
+  report.set("transport", study.transport);
 
   JsonValue study_section = JsonValue::object();
   study_section.set("study_id", context.study_id);
@@ -23,6 +23,11 @@ obs::JsonValue make_run_report(const StudyResult& study,
   study_section.set(
       "combination_members_total",
       static_cast<std::uint64_t>(study.combination_members_total));
+  JsonValue populations = JsonValue::array();
+  for (std::uint32_t n : study.case_population_per_gdo) {
+    populations.push_back(n);
+  }
+  study_section.set("case_population_per_gdo", std::move(populations));
   JsonValue selection = JsonValue::object();
   selection.set("l_prime",
                 static_cast<std::uint64_t>(study.outcome.l_prime.size()));
@@ -88,14 +93,12 @@ obs::JsonValue make_run_report(const StudyResult& study,
   JsonValue tiles = JsonValue::object();
   tiles.set("width", study.snp_tile_width);
   tiles.set("count", study.maf_tiles);
-  tiles.set("lr_count", study.lr_tiles);
   report.set("tiles", std::move(tiles));
 
   JsonValue pipeline = JsonValue::object();
   pipeline.set("maf_tiles_assessed_inline",
                static_cast<std::uint64_t>(study.maf_tiles_assessed_inline));
   pipeline.set("leader_inline_assess_ms", study.leader_inline_assess_ms);
-  pipeline.set("leader_lr_derive_ms", study.leader_lr_derive_ms);
   report.set("pipeline", std::move(pipeline));
 
   JsonValue pruning = JsonValue::object();

@@ -25,8 +25,6 @@ inline constexpr const char* kRunReportSchema = "gendpr.run_report.v2";
 struct ReportContext {
   /// Observability bundle of the run; embeds "metrics" and "trace" sections.
   const obs::Observability* obs = nullptr;
-  /// Transport label recorded in the document ("inproc", "tcp", ...).
-  std::string transport = "inproc";
   /// Study seed / id, when the caller knows it (the CLI passes its --seed).
   std::uint64_t study_id = 0;
 };

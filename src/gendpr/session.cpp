@@ -411,17 +411,12 @@ ProtocolSession::Main MemberSession::run_protocol() {
         auto result = Phase2Result::deserialize(body);
         if (!result.ok()) co_return result.error();
         const Stopwatch compute_watch;
-        auto matrices = enclave_.on_phase2(result.value());
+        auto bits = enclave_.on_phase2(result.value());
         compute_ms_ += compute_watch.elapsed_ms();
-        if (!matrices.ok()) co_return matrices.error();
-        // One derivation per entry (one per live combination holding
-        // this GDO).
-        obs::add_counter(obs_, "lr.combination_matvecs",
-                         matrices.value().entries.size());
+        if (!bits.ok()) co_return bits.error();
         obs::max_gauge(obs_, "epc.member.peak_bytes",
                        static_cast<double>(enclave_.platform().epc().peak()));
-        if (Status s = co_await send_reply(MsgType::lr_matrices,
-                                           matrices.value());
+        if (Status s = co_await send_reply(MsgType::lr_bits, bits.value());
             !s.ok()) {
           co_return s;
         }
@@ -470,7 +465,10 @@ LeaderSession::LeaderSession(tee::Platform& platform, std::uint32_t gdo_index,
       channels_(num_gdos) {
   // Provisioning failures (EPC limit) surface from the protocol body, which
   // checks that the dataset is present before announcing.
-  provision_status_ = enclave_.provision_dataset(std::move(cases));
+  provision_status_ = coordinator_.provision_status();
+  if (provision_status_.ok()) {
+    provision_status_ = enclave_.provision_dataset(std::move(cases));
+  }
 }
 
 LeaderSession::~LeaderSession() { destroy_coroutine(); }
@@ -851,61 +849,40 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
   aggregation_watch.restart();
   obs::ScopedSpan lr_gather_span(obs::recorder_of(obs_),
                                  "step.gather_lr_matrices", study_span_);
-  // Phase-2 inputs go out as one self-contained message per tile of the
-  // phase-3 plan (a single message when tiling is off): each body is
-  // O(G·tile) with per-GDO counts. Members start deriving on their own
-  // threads as soon as tile 0 lands, so the leader's own per-tile
-  // derivations right after the broadcast overlap the members' work.
-  std::uint64_t phase2_body_bytes = 0;
-  for (const Phase2Result& tile : coordinator_.phase2_tiles()) {
-    const std::size_t body_size = tile.encoded_size();
-    phase2_body_bytes += body_size;
-    obs::add_counter(obs_, "leader.phase2_body_bytes", body_size);
+  // Phase 3 input: one phase-2 broadcast, then one LrBits reply per live
+  // member. An empty L'' leaves nothing to weigh, so nothing is sent.
+  const std::uint64_t phase2_body_bytes =
+      phase2.value().retained.empty() ? 0 : phase2.value().encoded_size();
+  pending.clear();
+  if (phase2_body_bytes > 0) {
+    obs::add_counter(obs_, "leader.phase2_body_bytes", phase2_body_bytes);
     obs::add_counter(obs_, "leader.phase2_broadcast_bytes",
-                     body_size * live_members().size());
-    if (Status s = co_await broadcast(MsgType::phase2_result, tile); !s.ok()) {
+                     phase2_body_bytes * live_members().size());
+    if (Status s = co_await broadcast(MsgType::phase2_result, phase2.value());
+        !s.ok()) {
       co_return s.error();
     }
+    pending = live_members();
   }
-
-  // --- Phase 3: derive leader tiles, gather LR matrices, select. ---
-  const Stopwatch lr_derive_watch;
-  if (Status s = coordinator_.derive_leader_lr_tiles(); !s.ok()) {
-    co_return s.error();
-  }
-  const double lr_derive_ms = lr_derive_watch.elapsed_ms();
-  obs::observe(obs_, "pipeline.lr_derive_ms", lr_derive_ms);
-
-  // Each member answers every phase-2 tile with one LrMatrices reply.
-  const std::uint32_t lr_tile_count = coordinator_.lr_plan().tile_count();
-  std::vector<std::uint32_t> lr_tiles_left(num_gdos_, lr_tile_count);
-  pending = live_members();
-  // An empty phase-3 plan (every SNP filtered before the LR test) was never
-  // broadcast, so members have nothing to answer.
-  if (lr_tile_count == 0) pending.clear();
   while (!pending.empty()) {
     auto step = co_await next_record("LR gather", pending);
     if (!step.ok()) co_return step.error();
     if (!step.value().got) break;
     auto opened = open_envelope(step.value().plaintext);
     if (!opened.ok()) co_return opened.error();
-    if (opened.value().first != MsgType::lr_matrices) {
-      co_return make_error(Errc::state_violation, "expected LR matrices");
+    if (opened.value().first != MsgType::lr_bits) {
+      co_return make_error(Errc::state_violation, "expected LR bits");
     }
-    auto matrices = LrMatrices::deserialize(opened.value().second);
-    if (!matrices.ok()) co_return matrices.error();
-    if (Status s = coordinator_.add_lr_matrices(
-            step.value().member, std::move(matrices).take());
+    auto bits = LrBits::deserialize(opened.value().second);
+    if (!bits.ok()) co_return bits.error();
+    if (Status s = coordinator_.add_lr_bits(step.value().member,
+                                            std::move(bits).take());
         !s.ok()) {
       co_return s.error();
     }
-    if (--lr_tiles_left[step.value().member] == 0) {
-      pending.erase(step.value().member);
-    }
-    if (pending.empty()) break;
+    pending.erase(step.value().member);
   }
-  timings.aggregation_ms += aggregation_watch.elapsed_ms() - lr_derive_ms;
-  timings.lr_ms += lr_derive_ms;
+  timings.aggregation_ms += aggregation_watch.elapsed_ms();
   lr_gather_span.end();
 
   Stopwatch lr_watch;
@@ -935,6 +912,7 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
   result.num_combinations = coordinator_.announce().combinations.size();
   result.live_combinations = coordinator_.live_combination_count();
   result.combination_members_total = coordinator_.combination_members_total();
+  result.case_population_per_gdo = phase2.value().n_case_per_gdo;
   result.phase2_body_bytes = phase2_body_bytes;
   result.ld_pairs_fetched = coordinator_.ld_pairs_fetched();
   // network_bytes_total / leader_bytes_received / network_links belong to
@@ -958,10 +936,8 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
       genome::kernels::active_kernel_backend());
   result.snp_tile_width = coordinator_.announce().config.snp_tile_width;
   result.maf_tiles = maf_tile_count;
-  result.lr_tiles = lr_tile_count;
   result.maf_tiles_assessed_inline = maf_tiles_inline;
   result.leader_inline_assess_ms = inline_assess_ms;
-  result.leader_lr_derive_ms = lr_derive_ms;
   result.pruning = coordinator_.pruning_stats();
   if (obs_ != nullptr) {
     // Counters are exported by the federation runner from a run-wide delta
@@ -973,8 +949,6 @@ common::Task<Result<StudyResult>> LeaderSession::run_study_impl() {
                             static_cast<double>(result.snp_tile_width));
     obs_->metrics.set_gauge("tiles.count",
                             static_cast<double>(result.maf_tiles));
-    obs_->metrics.set_gauge("tiles.lr_count",
-                            static_cast<double>(result.lr_tiles));
     obs_->metrics.observe("leader.phase.aggregation_ms",
                           timings.aggregation_ms);
     obs_->metrics.observe("leader.phase.indexing_ms", timings.indexing_ms);

@@ -49,14 +49,20 @@ struct StudyResult {
   std::size_t num_combinations = 0;
   /// Combinations with no dead member (== num_combinations on clean runs).
   std::size_t live_combinations = 0;
-  /// Sum of |members(c)| over live combinations: the expected number of
-  /// per-member LR matrix derivations (`lr.combination_matvecs`).
+  /// Sum of |members(c)| over live combinations.
   std::size_t combination_members_total = 0;
+  /// Case population per GDO as the phase-2 broadcast carried it (0 for
+  /// GDOs dead by then): member g's LR reply is |L''| * plane_words(n_g)
+  /// words.
+  std::vector<std::uint32_t> case_population_per_gdo;
   /// Serialized size of the phase-2 result each member receives. With
   /// per-GDO counts this is O(G·m) instead of the old O(C·m) frequency
   /// vectors.
   std::uint64_t phase2_body_bytes = 0;
   std::size_t ld_pairs_fetched = 0;
+  /// Transport the run used ("in_process" / "epoll"), set by the runner
+  /// that resolved it; empty for a session run without one.
+  std::string transport;
   std::uint64_t network_bytes_total = 0;
   std::uint64_t leader_bytes_received = 0;
   std::uint64_t epc_peak_leader = 0;
@@ -81,18 +87,14 @@ struct StudyResult {
   /// SIMD kernel backend the bit-plane hot loops dispatched to
   /// ("portable" / "avx2" / "avx512").
   std::string kernel_backend;
-  /// Tiling shape of the pipelined phase engine: the configured width
-  /// (0 = monolithic) and the resulting phase-1 / phase-3 tile counts.
+  /// Tiling shape of the pipelined MAF phase: the configured width
+  /// (0 = monolithic) and the resulting phase-1 tile count.
   std::uint32_t snp_tile_width = 0;
   std::uint32_t maf_tiles = 1;
-  std::uint32_t lr_tiles = 1;
-  /// Pipeline overlap: leader-side work done while members were still
-  /// streaming — MAF tiles assessed mid-gather and the time spent on them,
-  /// plus the leader's own LR tile derivations run right after the phase-2
-  /// tile broadcast (overlapping the members' derivations).
+  /// Pipeline overlap: MAF tiles the leader assessed while members were
+  /// still streaming summaries, and the time spent on them.
   std::size_t maf_tiles_assessed_inline = 0;
   double leader_inline_assess_ms = 0;
-  double leader_lr_derive_ms = 0;
   /// Intersection-aware sweep bookkeeping.
   PruningStats pruning;
 };

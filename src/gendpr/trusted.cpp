@@ -1,7 +1,7 @@
 #include "gendpr/trusted.hpp"
 
 #include <algorithm>
-#include <span>
+#include <bit>
 
 #include "common/combinatorics.hpp"
 #include "wire/serialize.hpp"
@@ -52,7 +52,6 @@ Status GdoEnclave::on_study_announce(const StudyAnnounce& announce) {
   l_prime_.clear();
   l_double_prime_.clear();
   l_safe_.clear();
-  phase2_next_tile_ = 0;
   study_complete_ = false;
   return Status::success();
 }
@@ -106,21 +105,9 @@ Result<MomentsResponse> GdoEnclave::on_moments_request(
   return response;
 }
 
-Result<LrMatrices> GdoEnclave::on_phase2(const Phase2Result& result) {
+Result<LrBits> GdoEnclave::on_phase2(const Phase2Result& result) {
   if (!announce_.has_value()) {
     return make_error(Errc::state_violation, "phase2 before study announce");
-  }
-  if (result.num_tiles == 0 || result.tile_index >= result.num_tiles) {
-    return make_error(Errc::bad_message, "phase2 tile index out of range");
-  }
-  // Tile 0 starts (or restarts) the phase-2 stream; later tiles must arrive
-  // in order so L'' assembles exactly as the leader sliced it.
-  if (result.tile_index == 0) {
-    l_double_prime_.clear();
-    phase2_next_tile_ = 0;
-  }
-  if (result.tile_index != phase2_next_tile_) {
-    return make_error(Errc::state_violation, "phase2 tile out of order");
   }
   const std::size_t num_gdos = result.case_counts_per_gdo.size();
   if (result.n_case_per_gdo.size() != num_gdos) {
@@ -154,12 +141,10 @@ Result<LrMatrices> GdoEnclave::on_phase2(const Phase2Result& result) {
     return make_error(Errc::bad_message,
                       "per-GDO counts disagree with the local dataset");
   }
-  l_double_prime_.insert(l_double_prime_.end(), result.retained.begin(),
-                         result.retained.end());
-  phase2_next_tile_ = result.tile_index + 1;
+  l_double_prime_ = result.retained;
 
   // Pass 1: validate every co-member's count slot and collect the live
-  // combinations containing this GDO (the only ones this GDO computes for).
+  // combinations containing this GDO (the only ones its bits feed).
   std::vector<bool> slot_checked(num_gdos, false);
   std::vector<std::size_t> own;
   for (std::size_t c = 0; c < announce_->combinations.size(); ++c) {
@@ -198,26 +183,34 @@ Result<LrMatrices> GdoEnclave::on_phase2(const Phase2Result& result) {
     own.push_back(c);
   }
 
-  LrMatrices response;
-  response.tile_index = result.tile_index;
-  if (own.empty()) return response;
-
-  // Pass 2: one matrix per combination, each column filled straight from
-  // its bit plane. One tile matrix's bytes are charged while they derive.
-  const auto tile_epc = reserve_epc(planes_.num_individuals() *
-                                    result.retained.size() * sizeof(double));
-  if (!tile_epc.ok()) return tile_epc.error();
-  response.entries.resize(own.size());
-  for (std::size_t i = 0; i < own.size(); ++i) {
-    const std::size_t c = own[i];
+  // Pass 2: a column's bits travel only if some live combination holding
+  // this GDO weighs its two genotype values differently; otherwise every
+  // dense cell of the column is the same number and reveals no bit.
+  std::vector<bool> informative(result.retained.size(), false);
+  for (std::size_t c : own) {
     const stats::LrWeights weights = stats::lr_weights(
         result.combination_case_freq(announce_->combinations[c]),
         result.reference_freq);
-    response.entries[i].combination_id = static_cast<std::uint32_t>(c);
-    response.entries[i].matrix =
-        stats::build_lr_matrix(planes_, result.retained, weights);
+    for (std::size_t i = 0; i < informative.size(); ++i) {
+      if (std::bit_cast<std::uint64_t>(weights.when_minor[i]) !=
+          std::bit_cast<std::uint64_t>(weights.when_major[i])) {
+        informative[i] = true;
+      }
+    }
   }
-  return response;
+  const std::size_t words_per_plane = planes_.words_per_plane();
+  const auto reply_epc = reserve_epc(result.retained.size() *
+                                     words_per_plane * sizeof(std::uint64_t));
+  if (!reply_epc.ok()) return reply_epc.error();
+  LrBits reply;
+  reply.words.assign(result.retained.size() * words_per_plane, 0);
+  for (std::size_t i = 0; i < result.retained.size(); ++i) {
+    if (!informative[i]) continue;
+    std::copy_n(planes_.plane(result.retained[i]), words_per_plane,
+                reply.words.begin() +
+                    static_cast<std::ptrdiff_t>(i * words_per_plane));
+  }
+  return reply;
 }
 
 common::Bytes GdoEnclave::seal_study_checkpoint() {
@@ -317,6 +310,13 @@ Coordinator::Coordinator(GdoEnclave& leader_enclave,
       num_gdos_(num_gdos),
       announce_(std::move(announce)),
       summaries_(num_gdos) {
+  // The panel is public, but the selection reads it inside the enclave.
+  auto reference_epc = leader_->reserve_epc(reference_planes_.storage_bytes());
+  if (reference_epc.ok()) {
+    reference_epc_ = std::move(reference_epc).take();
+  } else {
+    provision_status_ = reference_epc.error();
+  }
   reference_counts_ = reference_planes_.allele_counts();
   maf_plan_ = genome::TilePlan::over(announce_.num_snps,
                                      announce_.config.snp_tile_width);
@@ -537,6 +537,7 @@ std::size_t Coordinator::assess_ready_maf_tiles() {
 }
 
 Result<Phase1Result> Coordinator::run_maf_phase() {
+  if (!provision_status_.ok()) return provision_status_.error();
   assess_ready_maf_tiles();
   if (!phase1_ready() || next_maf_tile_ < maf_plan_.tile_count()) {
     maf_span_.reset();
@@ -658,7 +659,6 @@ common::Task<Result<Phase2Result>> Coordinator::run_ld_phase_async(
     AsyncFetchMoments fetch) {
   const obs::ScopedSpan phase_span(obs::recorder_of(obs_), "phase.ld",
                                    study_span_);
-  const std::size_t num_combinations = announce_.combinations.size();
   // The greedy walk is order-sequential, so a combination's walk must still
   // run over all of L' — restricting it to the running intersection would
   // change anchor trajectories. What IS exact: (a) chi-squared ranking
@@ -753,244 +753,98 @@ common::Task<Result<Phase2Result>> Coordinator::run_ld_phase_async(
     result.n_case_per_gdo[g] = summaries_[g]->n_case;
   }
   result.dead_gdos.assign(dead_gdos_.begin(), dead_gdos_.end());
-  // The leader derives its own per-combination frequencies through the same
-  // helper the members use, so every party's LR weights are bit-identical.
-  case_freq_per_combination_.clear();
-  for (std::size_t c = 0; c < num_combinations; ++c) {
-    case_freq_per_combination_.push_back(
-        combination_live(c)
-            ? result.combination_case_freq(announce_.combinations[c])
-            : std::vector<double>{});
-  }
-  reference_freq_ = result.reference_freq;
-
-  // Fix the phase-3 tile plan over L'' and size the per-tile stores. From
-  // here on, phase-2 bodies, member LR matrices, and the leader's own
-  // derivations all travel and compute in L''-column tiles.
-  lr_plan_ = genome::TilePlan::over(
-      static_cast<std::uint32_t>(l_double_prime_.size()),
-      announce_.config.snp_tile_width);
-  lr_matrix_tiles_.assign(
-      num_combinations,
-      std::vector<std::map<std::uint32_t, stats::LrMatrix>>(
-          lr_plan_.tile_count()));
-  leader_tiles_.assign(num_combinations,
-                       std::vector<stats::LrMatrix>(lr_plan_.tile_count()));
-  reference_tiles_.assign(
-      num_combinations, std::vector<stats::LrMatrix>(lr_plan_.tile_count()));
-  next_lr_tile_ = 0;
-  phase2_full_ = result;
+  phase2_ = result;
   co_return result;
 }
 
-std::vector<Phase2Result> Coordinator::phase2_tiles() const {
-  std::vector<Phase2Result> tiles;
-  tiles.reserve(lr_plan_.tile_count());
-  for (std::uint32_t k = 0; k < lr_plan_.tile_count(); ++k) {
-    Phase2Result tile;
-    tile.retained = lr_plan_.slice(phase2_full_.retained, k);
-    tile.reference_freq = lr_plan_.slice(phase2_full_.reference_freq, k);
-    tile.case_counts_per_gdo.resize(num_gdos_);
-    for (std::uint32_t g = 0; g < num_gdos_; ++g) {
-      // Dead GDOs keep their (empty) slot in every tile.
-      if (!phase2_full_.case_counts_per_gdo[g].empty()) {
-        tile.case_counts_per_gdo[g] =
-            lr_plan_.slice(phase2_full_.case_counts_per_gdo[g], k);
-      }
-    }
-    tile.n_case_per_gdo = phase2_full_.n_case_per_gdo;
-    tile.dead_gdos = phase2_full_.dead_gdos;
-    tile.tile_index = k;
-    tile.num_tiles = lr_plan_.tile_count();
-    tiles.push_back(std::move(tile));
+Status Coordinator::add_lr_bits(std::uint32_t gdo_index, LrBits bits) {
+  if (gdo_index >= num_gdos_ || gdo_index == leader_->gdo_index()) {
+    return make_error(Errc::unknown_peer, "LR bits from unknown GDO");
   }
-  return tiles;
-}
-
-Status Coordinator::add_lr_matrices(std::uint32_t gdo_index,
-                                    LrMatrices matrices) {
-  if (gdo_index >= num_gdos_) {
-    return make_error(Errc::unknown_peer, "LR matrices from unknown GDO");
+  if (!phase2_.has_value()) {
+    return make_error(Errc::state_violation, "LR bits before LD phase");
   }
-  if (lr_matrix_tiles_.size() != announce_.combinations.size()) {
-    return make_error(Errc::state_violation, "LR matrices before LD phase");
+  if (dead_gdos_.count(gdo_index) > 0) {
+    return make_error(Errc::state_violation, "LR bits from a dead GDO");
   }
-  if (matrices.tile_index >= lr_plan_.tile_count()) {
-    return make_error(Errc::bad_message, "LR matrices tile index out of range");
+  if (member_bits_.count(gdo_index) > 0) {
+    return make_error(Errc::bad_message, "duplicate LR bits");
   }
-  for (auto& entry : matrices.entries) {
-    if (entry.combination_id >= announce_.combinations.size()) {
-      return make_error(Errc::bad_message, "unknown combination id");
-    }
-    const auto& members = announce_.combinations[entry.combination_id];
-    if (std::find(members.begin(), members.end(), gdo_index) ==
-        members.end()) {
-      return make_error(Errc::bad_message,
-                        "LR matrix from GDO outside the combination");
-    }
-    if (entry.matrix.cols() != lr_plan_.width_of(matrices.tile_index)) {
-      return make_error(Errc::bad_message, "LR matrix column mismatch");
-    }
-    if (entry.matrix.rows() != summaries_[gdo_index]->n_case) {
-      return make_error(Errc::bad_message, "LR matrix row count mismatch");
-    }
-    auto& slices = lr_matrix_tiles_[entry.combination_id][matrices.tile_index];
-    if (!slices.try_emplace(gdo_index, std::move(entry.matrix)).second) {
-      return make_error(Errc::bad_message, "duplicate LR matrices tile");
-    }
+  if (bits.words.size() !=
+      l_double_prime_.size() *
+          genome::plane_words(summaries_[gdo_index]->n_case)) {
+    return make_error(Errc::bad_message, "LR bits word count mismatch");
   }
+  const std::uint64_t bytes = bits.words.size() * sizeof(std::uint64_t);
+  auto epc = leader_->reserve_epc(bytes);
+  if (!epc.ok()) return epc.error();
+  obs::add_counter(obs_, "lr.bit_replies");
+  obs::add_counter(obs_, "lr.bit_bytes_received", bytes);
+  member_bits_.emplace(
+      gdo_index, MemberBits{std::move(bits.words), std::move(epc).take()});
   return Status::success();
 }
 
 bool Coordinator::phase3_ready() const noexcept {
-  if (lr_matrix_tiles_.size() != announce_.combinations.size()) return false;
-  for (std::size_t c = 0; c < announce_.combinations.size(); ++c) {
-    if (!combination_live(c)) continue;  // dead combos gather nothing
-    for (std::uint32_t g : announce_.combinations[c]) {
-      if (g == leader_->gdo_index()) continue;  // computed locally
-      for (std::uint32_t k = 0; k < lr_plan_.tile_count(); ++k) {
-        if (lr_matrix_tiles_[c][k].find(g) == lr_matrix_tiles_[c][k].end()) {
-          return false;
-        }
-      }
-    }
+  if (!phase2_.has_value()) return false;
+  // With an empty L'' there is nothing to broadcast and nothing to answer.
+  if (l_double_prime_.empty()) return true;
+  for (std::uint32_t g = 0; g < num_gdos_; ++g) {
+    if (g == leader_->gdo_index() || dead_gdos_.count(g) > 0) continue;
+    if (member_bits_.count(g) == 0) return false;
   }
   return true;
 }
 
-Status Coordinator::derive_leader_lr_tile(std::uint32_t tile) {
-  if (!lr_span_.has_value()) {
-    lr_span_.emplace(obs::recorder_of(obs_), "phase.lr", study_span_);
-  }
-  const obs::ScopedSpan tile_span(obs::recorder_of(obs_),
-                                  "lr.tile." + std::to_string(tile),
-                                  lr_span_->id());
-  const std::vector<std::uint32_t> retained =
-      lr_plan_.slice(l_double_prime_, tile);
-  std::vector<std::size_t> live;
-  for (std::size_t c = 0; c < announce_.combinations.size(); ++c) {
-    if (combination_live(c)) live.push_back(c);
-  }
-  // One charged leader tile matrix keeps the leader's transient working set
-  // O(tile) — the flat-memory half of the pipelined engine.
-  const bool leader_in_live = std::any_of(
-      live.begin(), live.end(), [this](std::size_t c) {
-        const auto& members = announce_.combinations[c];
-        return std::find(members.begin(), members.end(),
-                         leader_->gdo_index()) != members.end();
-      });
-  tee::EpcAllocation leader_tile_epc;
-  if (leader_in_live) {
-    auto epc = leader_->reserve_epc(leader_->planes().num_individuals() *
-                                    retained.size() * sizeof(double));
-    if (!epc.ok()) return epc.error();
-    leader_tile_epc = std::move(epc).take();
-    obs::observe(obs_, "epc.leader.tile_bytes",
-                 static_cast<double>(leader_->platform().epc().in_use()));
-  }
-  // Every live combination's slices derive in full: its weights depend on
-  // all of its members' counts, so nearly every column changes from one
-  // combination to the next and there is nothing to reuse.
-  for (std::size_t c : live) {
-    const auto& members = announce_.combinations[c];
-    // Per-column weights slice exactly (lr_weights maps each column
-    // independently), so per-tile derivations are bit-identical column
-    // slices of the monolithic matrices.
-    const stats::LrWeights weights = stats::lr_weights(
-        lr_plan_.slice(case_freq_per_combination_[c], tile),
-        lr_plan_.slice(reference_freq_, tile));
-    if (std::find(members.begin(), members.end(), leader_->gdo_index()) !=
-        members.end()) {
-      leader_tiles_[c][tile] =
-          stats::build_lr_matrix(leader_->planes(), retained, weights);
-      obs::add_counter(obs_, "lr.combination_matvecs");
-    }
-    reference_tiles_[c][tile] =
-        stats::build_lr_matrix(reference_planes_, retained, weights);
-    obs::add_counter(obs_, "lr.reference_matvecs");
-  }
-  return Status::success();
-}
-
-Status Coordinator::derive_leader_lr_tiles() {
-  if (leader_tiles_.size() != announce_.combinations.size()) {
-    return make_error(Errc::state_violation,
-                      "leader LR derivations before LD phase");
-  }
-  while (next_lr_tile_ < lr_plan_.tile_count()) {
-    if (Status s = derive_leader_lr_tile(next_lr_tile_); !s.ok()) return s;
-    ++next_lr_tile_;
-  }
-  return Status::success();
-}
-
-namespace {
-/// Copies `tile` into `dst` with its first cell at (`row`, `col`), column
-/// by column (exact cell copies), then frees the tile.
-void move_tile_into(stats::LrMatrix& dst, std::size_t row, std::size_t col,
-                    stats::LrMatrix& tile) {
-  for (std::size_t i = 0; i < tile.cols(); ++i) {
-    const std::span<const double> src = tile.column(i);
-    std::copy(src.begin(), src.end(), dst.column(col + i).begin() + row);
-  }
-  tile = stats::LrMatrix();
-}
-}  // namespace
-
 Result<Phase3Result> Coordinator::run_lr_phase() {
-  // Leader-side tile derivations normally ran pipelined (while members
-  // computed theirs); finish whatever remains, then select globally.
-  if (Status s = derive_leader_lr_tiles(); !s.ok()) {
-    lr_span_.reset();
-    return s.error();
-  }
-  if (!lr_span_.has_value()) {
-    // An empty phase-3 plan (nothing survived phase 2) derives no tiles, so
-    // the phase span was never opened lazily; open it here so the selection
-    // spans below have their parent and the trace keeps every phase.
-    lr_span_.emplace(obs::recorder_of(obs_), "phase.lr", study_span_);
-  }
+  const obs::ScopedSpan phase_span(obs::recorder_of(obs_), "phase.lr",
+                                   study_span_);
   if (!phase3_ready()) {
-    lr_span_.reset();
     return make_error(Errc::state_violation,
-                      "LR phase before all matrices arrived");
+                      "LR phase before all genotype bits arrived");
   }
   const auto order = pruning_order();
-  if (order.empty()) {
-    lr_span_.reset();
-    return no_live_combination_error("LR phase");
-  }
+  if (order.empty()) return no_live_combination_error("LR phase");
+
+  stats::LrSelectionParams params;
+  params.false_positive_rate = announce_.config.lr_false_positive_rate;
+  params.power_threshold = announce_.config.lr_power_threshold;
+  const stats::LrBitBlock reference =
+      stats::bit_block(reference_planes_, l_double_prime_);
+  const std::size_t width = l_double_prime_.size();
 
   // Selects one combination's safe columns over all of L''.
-  auto evaluate = [&](std::size_t c) -> stats::LrSelectionResult {
+  auto evaluate = [&](std::size_t c) -> Result<stats::LrSelectionResult> {
     const obs::ScopedSpan combination_span(
         obs::recorder_of(obs_), "lr.combination." + std::to_string(c),
-        lr_span_->id());
+        phase_span.id());
     obs::add_counter(obs_, "coordinator.lr_combinations");
-    // The selection is a global greedy over all of L'' (running per-row
-    // sums), so the full-width matrices assemble from the gathered column
-    // tiles first; every cell is an exact copy of its tiled counterpart.
-    const std::size_t width = l_double_prime_.size();
-    stats::LrMatrix merged(combination_case_population(c), width);
-    stats::LrMatrix reference_lr(reference_planes_.num_individuals(), width);
-    for (std::uint32_t k = 0; k < lr_plan_.tile_count(); ++k) {
-      std::size_t row = 0;
-      // Ascending GDO order by construction: the centralized row order.
-      for (std::uint32_t g : announce_.combinations[c]) {
-        stats::LrMatrix& tile = g == leader_->gdo_index()
-                                    ? leader_tiles_[c][k]
-                                    : lr_matrix_tiles_[c][k].at(g);
-        const std::size_t rows = tile.rows();
-        move_tile_into(merged, row, lr_plan_.begin(k), tile);
-        row += rows;
+    // An empty L'' was never broadcast: no bits arrived, none are needed.
+    if (width == 0) return stats::LrSelectionResult{};
+    // Case rows in ascending GDO order by construction: the centralized
+    // row order.
+    std::vector<stats::LrBitBlock> case_blocks;
+    std::size_t case_rows = 0;
+    for (std::uint32_t g : announce_.combinations[c]) {
+      if (g == leader_->gdo_index()) {
+        case_blocks.push_back(
+            stats::bit_block(leader_->planes(), l_double_prime_));
+      } else {
+        const std::size_t rows = summaries_[g]->n_case;
+        case_blocks.push_back({member_bits_.at(g).words.data(),
+                               genome::plane_words(rows), rows, {}});
       }
-      move_tile_into(reference_lr, 0, lr_plan_.begin(k),
-                     reference_tiles_[c][k]);
+      case_rows += case_blocks.back().rows;
     }
-    stats::LrSelectionParams params;
-    params.false_positive_rate = announce_.config.lr_false_positive_rate;
-    params.power_threshold = announce_.config.lr_power_threshold;
-    return stats::select_safe_snps(merged, reference_lr, params);
+    // The weights the members derived, through the same helper.
+    const stats::LrWeights weights = stats::lr_weights(
+        phase2_->combination_case_freq(announce_.combinations[c]),
+        phase2_->reference_freq);
+    const auto working_epc = leader_->reserve_epc(
+        stats::lr_selection_working_bytes(case_rows, reference.rows, width) +
+        2 * width * sizeof(double));
+    if (!working_epc.ok()) return working_epc.error();
+    return stats::select_safe_snps(case_blocks, reference, weights, params);
   };
 
   // Eager fold over the evaluation order. Each selection still runs over
@@ -1009,7 +863,9 @@ Result<Phase3Result> Coordinator::run_lr_phase() {
       obs::add_counter(obs_, "lr.selections_skipped", skipped);
       break;
     }
-    const stats::LrSelectionResult selection = evaluate(order[idx]);
+    const auto evaluated = evaluate(order[idx]);
+    if (!evaluated.ok()) return evaluated.error();
+    const stats::LrSelectionResult& selection = evaluated.value();
     std::vector<std::uint32_t> safe;
     safe.reserve(selection.safe_columns.size());
     for (std::uint32_t column : selection.safe_columns) {
@@ -1021,7 +877,7 @@ Result<Phase3Result> Coordinator::run_lr_phase() {
   }
   outcome_.l_safe = std::move(fold);
   outcome_.final_power = max_power;
-  lr_span_.reset();
+  member_bits_.clear();
   Phase3Result result;
   result.safe = outcome_.l_safe;
   result.final_power = outcome_.final_power;

@@ -70,19 +70,14 @@ class GdoEnclave : public tee::Enclave {
   common::Status on_phase1(const Phase1Result& result);
   common::Result<MomentsResponse> on_moments_request(
       const MomentsRequest& request) const;
-  /// Builds one local LR matrix per live combination containing this GDO
-  /// (paper Fig. 4 step 2). Each combination's frequency vector is derived
-  /// locally from the announce's combination list and the per-GDO counts,
-  /// and its matrix is filled column by column straight from the bit
-  /// planes. Entries are derived serially, in announce order. While they
-  /// are derived, one tile matrix's bytes are charged against the EPC meter.
-  ///
-  /// Under tiling the leader streams `result.num_tiles` tile messages in
-  /// ascending `tile_index` order; each is handled independently (matrices
-  /// over the tile's columns only, so the transient working set is
-  /// O(tile)), and L'' accumulates across the stream. Out-of-order or
-  /// repeated tiles are a protocol violation.
-  common::Result<LrMatrices> on_phase2(const Phase2Result& result);
+  /// Answers the phase-2 broadcast with this GDO's bit planes over L''
+  /// (paper Fig. 4 step 2), one reply whatever the number of combinations.
+  /// Each live combination containing this GDO derives its LR weights
+  /// locally from the announce's combination list and the per-GDO counts;
+  /// a column whose two weights are bitwise equal in all of them travels
+  /// as zero words (see LrBits). The reply buffer is charged against the
+  /// EPC meter while it is built.
+  common::Result<LrBits> on_phase2(const Phase2Result& result);
   common::Status on_phase3(const Phase3Result& result);
 
   const std::vector<std::uint32_t>& retained_after_phase1() const noexcept {
@@ -109,8 +104,6 @@ class GdoEnclave : public tee::Enclave {
   std::vector<std::uint32_t> l_prime_;
   std::vector<std::uint32_t> l_double_prime_;
   std::vector<std::uint32_t> l_safe_;
-  /// Next phase-2 tile index expected from the leader (stream sequencing).
-  std::uint32_t phase2_next_tile_ = 0;
   bool study_complete_ = false;
 };
 
@@ -145,8 +138,8 @@ struct PruningStats {
 };
 
 /// Leader-side coordination module. Owns the reference panel (public data,
-/// kept as bit planes) and the leader GDO's own enclave for its local
-/// dataset.
+/// kept as bit planes charged to the leader's EPC for the coordinator's
+/// lifetime) and the leader GDO's own enclave for its local dataset.
 ///
 /// Every phase runs the intersection-aware sweep of §5.6's combinations:
 /// live combinations are evaluated smallest case population first and the
@@ -183,6 +176,13 @@ class Coordinator {
 
   const StudyAnnounce& announce() const noexcept { return announce_; }
 
+  /// Outcome of charging the reference planes to the leader's EPC at
+  /// construction (capacity_exceeded when they do not fit). run_maf_phase
+  /// fails with it; the leader session checks it before provisioning.
+  const common::Status& provision_status() const noexcept {
+    return provision_status_;
+  }
+
   /// Attaches the run's observability bundle. Each analysis phase then opens
   /// a span under `study_span` with one child span per evaluated combination
   /// ("<phase>.combination.<id>"), and records evaluation counters. Pass
@@ -205,8 +205,7 @@ class Coordinator {
   /// True when no member of combination `combination_id` is marked dead.
   bool combination_live(std::size_t combination_id) const;
   std::size_t live_combination_count() const;
-  /// Sum of |members(c)| over the live combinations: the expected total of
-  /// per-member LR derivations (`lr.combination_matvecs`) for a clean run.
+  /// Sum of |members(c)| over the live combinations.
   std::size_t combination_members_total() const;
 
   /// Builds the combination table for a policy (shared by runner and tests).
@@ -216,8 +215,6 @@ class Coordinator {
   /// --- Tiling ---
   /// Phase-1 plan over the announced SNP range (fixed by the announce).
   const genome::TilePlan& maf_plan() const noexcept { return maf_plan_; }
-  /// Phase-3 plan over L'' (valid after run_ld_phase).
-  const genome::TilePlan& lr_plan() const noexcept { return lr_plan_; }
 
   /// --- Phase 1 ---
   /// Ingests one summary tile from `gdo_index` (the whole vector when
@@ -242,8 +239,8 @@ class Coordinator {
   /// pulling member moments through `fetch` (cached per pair), and
   /// intersects the survivors. The walk is order-sequential (each pruning
   /// decision depends on every prior one), so phase 2 is not tiled; its
-  /// per-pair messages are already O(1). Also fixes the phase-3 tile plan
-  /// over L'' and the full-width phase-2 state the tile slices come from.
+  /// per-pair messages are already O(1). The returned broadcast is also
+  /// what phase 3 weighs the LR columns with.
   common::Result<Phase2Result> run_ld_phase(const FetchMoments& fetch);
   /// Canonical (sans-IO) LD phase: identical decisions, counters, and cache
   /// behavior to the blocking overload, but every member fetch suspends the
@@ -251,28 +248,21 @@ class Coordinator {
   /// the coroutine frame owns its copy across suspensions.
   common::Task<common::Result<Phase2Result>> run_ld_phase_async(
       AsyncFetchMoments fetch);
-  /// Per-tile Phase2Result bodies (column slices of run_ld_phase's return
-  /// value; one entry per lr_plan() tile). Valid after run_ld_phase.
-  std::vector<Phase2Result> phase2_tiles() const;
 
   /// --- Phase 3 ---
-  /// Stores one member's LR matrices tile; the matrices move into storage.
-  common::Status add_lr_matrices(std::uint32_t gdo_index,
-                                 LrMatrices matrices);
+  /// Stores one member's bit planes over L'' (valid after run_ld_phase).
+  /// Each live member GDO answers once; replies from unknown, dead or
+  /// already-answered GDOs, and word counts other than
+  /// |L''| * plane_words(n_case) are rejected. The words stay charged to
+  /// the leader's EPC until run_lr_phase ends.
+  common::Status add_lr_bits(std::uint32_t gdo_index, LrBits bits);
   bool phase3_ready() const noexcept;
-  /// Derives the leader's own and the reference panel's per-tile LR matrix
-  /// slices for every live combination, straight from the bit planes. One
-  /// leader tile matrix's bytes are charged against the EPC meter while a
-  /// tile derives, so the charged working set is O(tile) like the
-  /// members'. Idempotent; run_lr_phase calls it for whatever remains. The
-  /// host calls it right after broadcasting the phase-2 tiles so this
-  /// leader-side assessment overlaps the members' own tile computations.
-  common::Status derive_leader_lr_tiles();
-  /// Merges per-combination LR matrices, runs the safe-subset selection per
-  /// combination in evaluation order, and folds the intersection. Each
-  /// combination's case matrix (member rows in ascending GDO order) and
-  /// reference matrix are allocated once at full width; every stored tile
-  /// is copied into its block once and then freed.
+  /// Runs the safe-subset selection per live combination in evaluation
+  /// order and folds the intersection. Each selection reads its columns
+  /// straight from the planes: the members' in ascending GDO order (the
+  /// leader's own and the received ones), then the reference panel's. The
+  /// selection's working vectors are charged to the leader's EPC while it
+  /// runs; the received bits are freed at the end.
   common::Result<Phase3Result> run_lr_phase();
 
   const SelectionOutcome& outcome() const noexcept { return outcome_; }
@@ -300,7 +290,6 @@ class Coordinator {
       const std::vector<std::uint32_t>& members) const;
   bool maf_tile_ready(std::uint32_t tile) const;
   void assess_maf_tile(std::uint32_t tile);
-  common::Status derive_leader_lr_tile(std::uint32_t tile);
   /// Pooled case population of combination `c` (phase-1 summaries must have
   /// arrived; every live member's n_case is known before any tile is
   /// assessed).
@@ -315,6 +304,8 @@ class Coordinator {
 
   GdoEnclave* leader_;
   genome::BitPlanes reference_planes_;
+  tee::EpcAllocation reference_epc_;
+  common::Status provision_status_;
   std::uint32_t num_gdos_;
   StudyAnnounce announce_;
 
@@ -325,13 +316,11 @@ class Coordinator {
   // Liveness state: GDOs declared unresponsive by the host protocol layer.
   std::set<std::uint32_t> dead_gdos_;
 
-  // Tiling. The phase-1 plan is fixed by the announce; the phase-3 plan is
-  // fixed over L'' at the end of the LD phase. Both phase spans open lazily
-  // (first tile assessed mid-gather) and close when their phase finishes.
+  // Tiling (phase 1 only). The plan is fixed by the announce; the phase
+  // span opens lazily (first tile assessed mid-gather) and closes when the
+  // phase finishes.
   genome::TilePlan maf_plan_;
-  genome::TilePlan lr_plan_;
   std::optional<obs::ScopedSpan> maf_span_;
-  std::optional<obs::ScopedSpan> lr_span_;
 
   // Phase 1 state. Summaries assemble tile by tile into full-width vectors;
   // summary_tiles_[g][k] tracks which tiles of GDO g have arrived.
@@ -361,21 +350,16 @@ class Coordinator {
 
   // Phase 3 state.
   std::vector<std::uint32_t> l_double_prime_;
-  /// Full-width phase-2 result the per-tile bodies are column slices of.
-  Phase2Result phase2_full_;
-  std::vector<std::vector<double>> case_freq_per_combination_;
-  std::vector<double> reference_freq_;
-  /// lr_matrix_tiles_[combination_id][tile][gdo_index] -> column slice of
-  /// the member's LR matrix (only set for members of the combination).
-  /// run_lr_phase frees each slice once it is merged.
-  /// Sized at the end of the LD phase, when the L'' tile plan is known.
-  std::vector<std::vector<std::map<std::uint32_t, stats::LrMatrix>>>
-      lr_matrix_tiles_;
-  /// Leader / reference per-tile matrix slices, [combination_id][tile];
-  /// leader entries exist only for live combinations containing the leader.
-  std::vector<std::vector<stats::LrMatrix>> leader_tiles_;
-  std::vector<std::vector<stats::LrMatrix>> reference_tiles_;
-  std::uint32_t next_lr_tile_ = 0;
+  /// The phase-2 broadcast (set by run_ld_phase): L'' with the per-GDO
+  /// counts and reference frequencies every combination's weights come
+  /// from.
+  std::optional<Phase2Result> phase2_;
+  /// A member's received planes over L'' and their EPC charge.
+  struct MemberBits {
+    std::vector<std::uint64_t> words;
+    tee::EpcAllocation epc;
+  };
+  std::map<std::uint32_t, MemberBits> member_bits_;
 
   SelectionOutcome outcome_;
 };

@@ -9,7 +9,7 @@ namespace gendpr::genome {
 BitPlanes::BitPlanes(const GenotypeMatrix& genotypes)
     : num_individuals_(genotypes.num_individuals()),
       num_snps_(genotypes.num_snps()),
-      words_per_plane_((genotypes.num_individuals() + 63) / 64),
+      words_per_plane_(plane_words(genotypes.num_individuals())),
       words_(genotypes.num_snps() * words_per_plane_, 0),
       counts_(genotypes.num_snps(), 0) {
   // Transpose by scattering each row's set bits into its column planes.

@@ -22,6 +22,11 @@
 
 namespace gendpr::genome {
 
+/// Words of one bit plane over `individuals` individuals (64 per word).
+constexpr std::size_t plane_words(std::size_t individuals) noexcept {
+  return (individuals + 63) / 64;
+}
+
 /// Column-major, 64-bit-word-packed transpose of a GenotypeMatrix with
 /// cached per-SNP minor-allele popcounts. Tail bits (individual indices
 /// >= num_individuals in the last word of each plane) are always zero.

@@ -151,24 +151,34 @@ void apply_column(std::span<const double> column, double sign,
   for (std::size_t r = 0; r < column.size(); ++r) sums[r] += sign * column[r];
 }
 
-}  // namespace
+/// One candidate's case and reference LR columns.
+struct ColumnPair {
+  std::span<const double> case_column;
+  std::span<const double> reference_column;
+};
 
-LrSelectionResult select_safe_snps(const LrMatrix& case_lr,
-                                   const LrMatrix& reference_lr,
-                                   const LrSelectionParams& params) {
-  if (case_lr.cols() != reference_lr.cols()) {
-    throw std::invalid_argument("select_safe_snps: column count mismatch");
-  }
-  const std::size_t cols = case_lr.cols();
+/// The one greedy search. `column(c, case_scratch, reference_scratch)`
+/// yields candidate c's columns: it may fill the caller-owned scratch
+/// (sized to the row counts) and view it, or view storage it already holds.
+/// The views stay valid until the next call, which is all a roll-back
+/// needs.
+template <typename ColumnSource>
+LrSelectionResult greedy_select(std::size_t case_rows,
+                                std::size_t reference_rows, std::size_t cols,
+                                ColumnSource&& column,
+                                const LrSelectionParams& params) {
   LrSelectionResult result;
   if (cols == 0) return result;
+  std::vector<double> case_scratch(case_rows);
+  std::vector<double> reference_scratch(reference_rows);
 
   // Identifying power of each SNP alone: the gap between the mean case and
   // mean reference LR contribution. Low-gap SNPs are admitted first.
   std::vector<double> gap(cols, 0.0);
   for (std::size_t c = 0; c < cols; ++c) {
-    gap[c] = column_mean(case_lr.column(c)) -
-             column_mean(reference_lr.column(c));
+    const ColumnPair pair = column(c, case_scratch, reference_scratch);
+    gap[c] = column_mean(pair.case_column) -
+             column_mean(pair.reference_column);
   }
   std::vector<std::uint32_t> order(cols);
   std::iota(order.begin(), order.end(), 0u);
@@ -179,17 +189,18 @@ LrSelectionResult select_safe_snps(const LrMatrix& case_lr,
                    });
 
   // Greedy forward admission with incremental per-individual sums.
-  std::vector<double> case_sums(case_lr.rows(), 0.0);
-  std::vector<double> ref_sums(reference_lr.rows(), 0.0);
+  std::vector<double> case_sums(case_rows, 0.0);
+  std::vector<double> ref_sums(reference_rows, 0.0);
   std::vector<double> quantile_scratch;
-  quantile_scratch.reserve(reference_lr.rows());
+  quantile_scratch.reserve(reference_rows);
   std::vector<std::uint32_t> kept;
   double current_power = 0.0;
   double current_threshold = 0.0;
 
   for (std::uint32_t candidate : order) {
-    apply_column(case_lr.column(candidate), 1.0, case_sums);
-    apply_column(reference_lr.column(candidate), 1.0, ref_sums);
+    const ColumnPair pair = column(candidate, case_scratch, reference_scratch);
+    apply_column(pair.case_column, 1.0, case_sums);
+    apply_column(pair.reference_column, 1.0, ref_sums);
     double threshold = 0.0;
     const double power =
         detection_power(case_sums, ref_sums, params.false_positive_rate,
@@ -200,8 +211,8 @@ LrSelectionResult select_safe_snps(const LrMatrix& case_lr,
       current_threshold = threshold;
     } else {
       // Roll the candidate back and try the next one.
-      apply_column(case_lr.column(candidate), -1.0, case_sums);
-      apply_column(reference_lr.column(candidate), -1.0, ref_sums);
+      apply_column(pair.case_column, -1.0, case_sums);
+      apply_column(pair.reference_column, -1.0, ref_sums);
     }
   }
 
@@ -210,6 +221,73 @@ LrSelectionResult select_safe_snps(const LrMatrix& case_lr,
   result.final_power = current_power;
   result.final_threshold = current_threshold;
   return result;
+}
+
+/// Fills block `block`'s cells of column `col` into `out`.
+void select_block(const genome::kernels::KernelOps& ops,
+                  const LrBitBlock& block, std::size_t col, double when_minor,
+                  double when_major, double* out) {
+  const std::size_t plane = block.snps.empty() ? col : block.snps[col];
+  ops.select_bits(block.words + plane * block.words_per_plane, when_minor,
+                  when_major, block.rows, out);
+}
+
+}  // namespace
+
+LrSelectionResult select_safe_snps(const LrMatrix& case_lr,
+                                   const LrMatrix& reference_lr,
+                                   const LrSelectionParams& params) {
+  if (case_lr.cols() != reference_lr.cols()) {
+    throw std::invalid_argument("select_safe_snps: column count mismatch");
+  }
+  return greedy_select(
+      case_lr.rows(), reference_lr.rows(), case_lr.cols(),
+      [&](std::size_t c, std::span<double>, std::span<double>) {
+        return ColumnPair{case_lr.column(c), reference_lr.column(c)};
+      },
+      params);
+}
+
+LrBitBlock bit_block(const genome::BitPlanes& planes,
+                     std::span<const std::uint32_t> snps) {
+  return {planes.plane(0), planes.words_per_plane(), planes.num_individuals(),
+          snps};
+}
+
+LrSelectionResult select_safe_snps(std::span<const LrBitBlock> case_blocks,
+                                   const LrBitBlock& reference,
+                                   const LrWeights& weights,
+                                   const LrSelectionParams& params) {
+  if (weights.when_minor.size() != weights.when_major.size()) {
+    throw std::invalid_argument("select_safe_snps: weight size mismatch");
+  }
+  std::size_t case_rows = 0;
+  for (const LrBitBlock& block : case_blocks) case_rows += block.rows;
+  const genome::kernels::KernelOps& ops = genome::kernels::kernel_ops();
+  return greedy_select(
+      case_rows, reference.rows, weights.when_minor.size(),
+      [&](std::size_t c, std::span<double> case_out,
+          std::span<double> reference_out) {
+        const double minor = weights.when_minor[c];
+        const double major = weights.when_major[c];
+        double* out = case_out.data();
+        for (const LrBitBlock& block : case_blocks) {
+          select_block(ops, block, c, minor, major, out);
+          out += block.rows;
+        }
+        select_block(ops, reference, c, minor, major, reference_out.data());
+        return ColumnPair{case_out, reference_out};
+      },
+      params);
+}
+
+std::size_t lr_selection_working_bytes(std::size_t case_rows,
+                                       std::size_t reference_rows,
+                                       std::size_t cols) {
+  // Sums + column scratch per case row; sums, column and quantile scratch
+  // per reference row; gap (double), order and kept (u32) per column.
+  return (2 * case_rows + 3 * reference_rows) * sizeof(double) +
+         cols * (sizeof(double) + 2 * sizeof(std::uint32_t));
 }
 
 }  // namespace gendpr::stats

@@ -10,10 +10,13 @@
 // power (fraction of true case members flagged) stays below the configured
 // threshold (defaults mirror §7: FPR 0.1, power limit 0.9).
 //
-// `LrMatrix` is the exchanged artifact (one row per individual, one column
-// per SNP, stored SNP-major); GDOs build local matrices from *global*
-// frequencies straight from their bit planes, the leader stacks them.
-// `select_safe_snps` runs the empirical subset search: SNPs are admitted in
+// Every LR cell is one of its column's two weights, picked by the genotype
+// bit, so the federation exchanges genotype bits and the leader selects on
+// them: `select_safe_snps` over `LrBitBlock`s fills one candidate column at
+// a time from the bit planes. `LrMatrix` (one row per individual, one
+// column per SNP, stored SNP-major) is the dense form of the same cells,
+// kept for the centralized baselines, the attack example and as the test
+// oracle. Both run one empirical subset search: SNPs are admitted in
 // ascending order of identifying power and a candidate is kept only if the
 // resulting power stays below the limit.
 #pragma once
@@ -130,6 +133,39 @@ struct LrSelectionResult {
 LrSelectionResult select_safe_snps(const LrMatrix& case_lr,
                                    const LrMatrix& reference_lr,
                                    const LrSelectionParams& params);
+
+/// Bit-packed genotypes of `rows` individuals feeding LR columns: the plane
+/// of column i starts at `words + p * words_per_plane`, where p is
+/// `snps[i]`, or i itself when `snps` is empty.
+struct LrBitBlock {
+  const std::uint64_t* words = nullptr;
+  std::size_t words_per_plane = 0;
+  std::size_t rows = 0;
+  std::span<const std::uint32_t> snps;
+};
+
+/// The block over `planes` whose column i is SNP `snps[i]`.
+LrBitBlock bit_block(const genome::BitPlanes& planes,
+                     std::span<const std::uint32_t> snps);
+
+/// The same search fed straight from genotype bits: a candidate's case
+/// column is every case block's plane run through the bit-select kernel
+/// with the column's weights, stacked in block order, and its reference
+/// column likewise. Bit-identical to the dense overload on the matrices
+/// `build_lr_matrix` would fill from the same bits and weights, without
+/// holding them: only one column per side lives at a time.
+LrSelectionResult select_safe_snps(std::span<const LrBitBlock> case_blocks,
+                                   const LrBitBlock& reference,
+                                   const LrWeights& weights,
+                                   const LrSelectionParams& params);
+
+/// Heap bytes the bit-fed selection allocates for `cols` candidates over
+/// `case_rows` + `reference_rows` individuals: the per-individual score
+/// sums, the candidate column scratch, the quantile scratch, and the
+/// per-column gap, order and kept vectors (enclave EPC accounting).
+std::size_t lr_selection_working_bytes(std::size_t case_rows,
+                                       std::size_t reference_rows,
+                                       std::size_t cols);
 
 /// Detection power of the adversary for fixed per-individual LR scores:
 /// threshold = (1 - fpr) quantile of reference scores; power = fraction of

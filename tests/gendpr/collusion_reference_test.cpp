@@ -120,7 +120,7 @@ TEST(PruneEquivalenceTest, TiledAndMonolithicPrunedSweepAgree) {
 
 TEST(PruneEquivalenceTest, PrunedSweepDoesMeasurablyLessWork) {
   // Against the budget of evaluating every combination in full, and with
-  // the LR ledger exact: one derivation per (member, combination, tile).
+  // the LR ledger exact.
   const genome::Cohort cohort = test_cohort();
   obs::Observability obs;
   const StudyResult r = run(cohort, 6, CollusionPolicy::fixed(2), &obs);
@@ -135,10 +135,19 @@ TEST(PruneEquivalenceTest, PrunedSweepDoesMeasurablyLessWork) {
   // MAF evaluations shrink with the per-tile mask.
   EXPECT_LT(obs.metrics.counter("coordinator.maf_snps_evaluated"),
             full_budget);
-  EXPECT_EQ(obs.metrics.counter("lr.combination_matvecs"),
-            r.combination_members_total * r.lr_tiles);
-  EXPECT_EQ(obs.metrics.counter("lr.reference_matvecs"),
-            r.live_combinations * r.lr_tiles);
+  // Phase 3 costs one bit-plane reply per member, whatever C is: 15
+  // combinations, 5 replies of |L''| planes each.
+  ASSERT_FALSE(r.outcome.l_double_prime.empty());
+  EXPECT_EQ(obs.metrics.counter("lr.bit_replies"), r.num_gdos - 1);
+  std::uint64_t bit_bytes = 0;
+  for (std::uint32_t g = 0; g < r.num_gdos; ++g) {
+    if (g == r.leader_gdo) continue;
+    bit_bytes += r.outcome.l_double_prime.size() *
+                 ((r.case_population_per_gdo[g] + 63) / 64) * 8;
+  }
+  EXPECT_EQ(obs.metrics.counter("lr.bit_bytes_received"), bit_bytes);
+  EXPECT_EQ(obs.metrics.counter("coordinator.lr_combinations"),
+            r.live_combinations - r.pruning.lr_selections_skipped);
 }
 
 TEST(PruneEquivalenceTest, DegradedRunsStayBitIdentical) {

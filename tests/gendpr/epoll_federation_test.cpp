@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "gendpr/federation.hpp"
+#include "gendpr/report.hpp"
 #include "gendpr/session.hpp"
 #include "gendpr/session_driver.hpp"
 #include "net/epoll_hub.hpp"
@@ -186,8 +187,8 @@ TEST(EpollFederationTest, BroadcastSerializesEachMessageExactlyOnce) {
   // Conservation: first seals plus reuses account for every sealed record.
   EXPECT_EQ(serializations + reuses, records);
   // Serialize-once means strictly fewer serializations than records: the
-  // announce, phase-1, phase-2 tile, and phase-3 broadcasts each reach the
-  // 7 members off ONE staging (6 reuses apiece beyond the first seal).
+  // announce, phase-1, phase-2, and phase-3 broadcasts each reach the 7
+  // members off ONE staging (6 reuses apiece beyond the first seal).
   EXPECT_LT(serializations, records);
   EXPECT_GE(reuses, 3u * (8 - 2));
 
@@ -196,6 +197,30 @@ TEST(EpollFederationTest, BroadcastSerializesEachMessageExactlyOnce) {
                 observability.metrics.counter("net.pool.misses"),
             0u);
   EXPECT_GT(observability.metrics.counter("wire.writev_batches"), 0u);
+}
+
+TEST(EpollFederationTest, ReportNamesTheTransportTheRunUsed) {
+  // The run report's top-level transport and the net.transport label come
+  // from the one transport the runner resolved, so an epoll run reads
+  // "epoll" in both places.
+  const genome::Cohort cohort = test_cohort(120, 120, 30, 42);
+  for (const auto mode : {FederationSpec::TransportMode::epoll,
+                          FederationSpec::TransportMode::in_process}) {
+    obs::Observability observability;
+    FederationSpec spec;
+    spec.transport = mode;
+    spec.obs = &observability;
+    const auto result = run_federated_study(cohort, spec);
+    ASSERT_TRUE(result.ok()) << result.error().to_string();
+    ReportContext context;
+    context.obs = &observability;
+    const obs::JsonValue report = make_run_report(result.value(), context);
+    const std::string transport = report.find("transport")->as_string();
+    EXPECT_EQ(transport, observability.metrics.label("net.transport"));
+    if (mode == FederationSpec::TransportMode::epoll) {
+      EXPECT_EQ(transport, "epoll");
+    }
+  }
 }
 
 TEST(EpollFederationTest, SilentMemberTimesOutOverEpoll) {

@@ -201,10 +201,8 @@ TEST(FederationTest, RunReportTracesEveryPhaseOncePerCombination) {
     EXPECT_EQ(name_counts["phase." + phase], 1);
   }
   // The MAF phase is assessed per tile (one tile with tiling off); the LD
-  // and LR phases keep one span per combination, and the LR phase records
-  // the leader's per-tile derivations as well.
+  // and LR phases keep one span per combination.
   EXPECT_EQ(name_counts["maf.tile.0"], 1);
-  EXPECT_EQ(name_counts["lr.tile.0"], 1);
   for (const std::string phase : {"ld", "lr"}) {
     for (int c = 0; c < 3; ++c) {
       EXPECT_EQ(name_counts[phase + ".combination." + std::to_string(c)], 1)

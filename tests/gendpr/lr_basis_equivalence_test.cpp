@@ -1,12 +1,19 @@
-// Property test for the collusion-tolerant LR phase: every matrix
-// GdoEnclave::on_phase2 derives from its bit planes (through the active
-// bit-select kernel) must be bit-identical to the scalar `build_lr_matrix`
-// over the packed genotypes, with weights rebuilt independently from the
-// combination's frequency vector, across federation sizes G in {3..6} and
-// collusion bounds f in {1, 2}, and in the dead-GDO degraded mode.
+// Property test for the collusion-tolerant, bit-native LR phase: every
+// member answers the phase-2 broadcast with its bit planes over L''
+// (GdoEnclave::on_phase2), and the leader's selection over those planes
+// (its own planes, the received words and the reference planes, fed
+// through the bit-select kernel) must be bit-identical, per combination,
+// to the dense `select_safe_snps` over the matrices the scalar
+// `build_lr_matrix` fills from the packed genotypes - the same
+// `safe_columns`, `final_power` and `final_threshold`. Swept over
+// federation sizes G in {3..6} and collusion bounds f in {1, 2}, with
+// per-GDO row counts that are not multiples of 64, a power limit low
+// enough that the greedy search rejects candidates, and the dead-GDO
+// degraded mode.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <memory>
 #include <vector>
 
@@ -18,14 +25,20 @@
 namespace gendpr::core {
 namespace {
 
+/// Low enough that most combinations reject some candidates.
+constexpr double kPowerLimit = 0.05;
+
 /// A federation of member enclaves plus the phase-2 broadcast a leader
-/// would send them: per-GDO counts over a retained SNP set.
+/// would send them: per-GDO counts over a retained SNP set. GDO 0 plays
+/// the leader: its planes feed the selection directly, the others' through
+/// their replies.
 struct Federation {
   tee::QuotingAuthority authority{std::array<std::uint8_t, 32>{0x42}};
   std::vector<std::unique_ptr<tee::Platform>> platforms;
   std::vector<std::unique_ptr<GdoEnclave>> enclaves;
-  /// Each enclave's packed input, kept host-side for the scalar oracle.
+  /// Each enclave's packed input, kept host-side for the dense oracle.
   std::vector<genome::GenotypeMatrix> slices;
+  genome::GenotypeMatrix reference;
   StudyAnnounce announce;
   Phase2Result phase2;
 };
@@ -34,11 +47,12 @@ Federation make_federation(std::uint32_t num_gdos, std::uint32_t f,
                            std::uint64_t seed) {
   Federation fed;
   genome::CohortSpec spec;
-  spec.num_case = 70 * num_gdos;  // 70 rows per GDO: a partial second word
-  spec.num_control = 40;
+  spec.num_case = 70 * num_gdos + 13;  // 70-71 rows per GDO: partial words
+  spec.num_control = 83;
   spec.num_snps = 48;
   spec.seed = seed;
   const genome::Cohort cohort = genome::generate_cohort(spec);
+  fed.reference = cohort.controls;
   const auto ranges =
       genome::equal_partition(cohort.cases.num_individuals(), num_gdos);
 
@@ -47,13 +61,15 @@ Federation make_federation(std::uint32_t num_gdos, std::uint32_t f,
   fed.announce.combinations =
       Coordinator::build_combinations(num_gdos, CollusionPolicy::fixed(f));
 
-  // Retained set: every third SNP (what survived phases 1-2).
+  // Retained set: every third SNP (what survived phases 1-2), with the
+  // reference frequencies the leader would broadcast.
+  const genome::BitPlanes reference_planes(fed.reference);
   for (std::uint32_t s = 0; s < fed.announce.num_snps; s += 3) {
     fed.phase2.retained.push_back(s);
+    fed.phase2.reference_freq.push_back(
+        static_cast<double>(reference_planes.allele_count(s)) /
+        static_cast<double>(reference_planes.num_individuals()));
   }
-  common::Rng rng(seed ^ 0x9e3779b9);
-  fed.phase2.reference_freq.resize(fed.phase2.retained.size());
-  for (auto& p : fed.phase2.reference_freq) p = rng.uniform(0.05, 0.95);
 
   for (std::uint32_t g = 0; g < num_gdos; ++g) {
     std::array<std::uint8_t, 32> platform_seed{};
@@ -75,37 +91,108 @@ Federation make_federation(std::uint32_t num_gdos, std::uint32_t f,
   return fed;
 }
 
-bool combination_contains(const std::vector<std::uint32_t>& members,
-                          std::uint32_t gdo) {
-  return std::find(members.begin(), members.end(), gdo) != members.end();
+bool combination_live(const std::vector<std::uint32_t>& members,
+                      const std::vector<std::uint32_t>& dead) {
+  return std::none_of(members.begin(), members.end(), [&](std::uint32_t g) {
+    return std::find(dead.begin(), dead.end(), g) != dead.end();
+  });
 }
 
-/// Runs on_phase2 on every enclave and checks each returned matrix against
-/// the scalar rebuild: weights from the combination's derived frequency
-/// vector, then `build_lr_matrix` over the packed slice. Returns the
-/// per-GDO entry counts so callers can assert coverage.
-std::vector<std::size_t> check_against_legacy_rebuild(Federation& fed) {
-  std::vector<std::size_t> entry_counts;
-  for (std::size_t i = 0; i < fed.enclaves.size(); ++i) {
-    const auto& enclave = fed.enclaves[i];
-    const auto matrices = enclave->on_phase2(fed.phase2);
-    EXPECT_TRUE(matrices.ok());
-    if (!matrices.ok()) return entry_counts;
-    for (const auto& entry : matrices.value().entries) {
-      const auto& members = fed.announce.combinations[entry.combination_id];
-      EXPECT_TRUE(combination_contains(members, enclave->gdo_index()));
-      const stats::LrWeights weights =
-          stats::lr_weights(fed.phase2.combination_case_freq(members),
-                            fed.phase2.reference_freq);
-      const stats::LrMatrix expected =
-          stats::build_lr_matrix(fed.slices[i], fed.phase2.retained, weights);
-      EXPECT_EQ(entry.matrix, expected)
-          << "gdo " << enclave->gdo_index() << " combination "
-          << entry.combination_id;
-    }
-    entry_counts.push_back(matrices.value().entries.size());
+bool weights_equal(const stats::LrWeights& weights, std::size_t col) {
+  return std::bit_cast<std::uint64_t>(weights.when_minor[col]) ==
+         std::bit_cast<std::uint64_t>(weights.when_major[col]);
+}
+
+/// Runs on_phase2 on every live non-leader enclave, checks each reply
+/// against the information-equivalence rule (a column's words are the
+/// member's plane, or zero when its two weights coincide in every live
+/// combination holding the member), then checks every live combination's
+/// plane-fed selection against the dense oracle. Returns the number of
+/// combinations whose selection kept some candidates and rejected others.
+std::size_t check_against_dense_oracle(Federation& fed) {
+  const auto& retained = fed.phase2.retained;
+  const auto& dead = fed.phase2.dead_gdos;
+  std::vector<stats::LrWeights> weights;
+  for (const auto& members : fed.announce.combinations) {
+    weights.push_back(stats::lr_weights(
+        combination_live(members, dead)
+            ? fed.phase2.combination_case_freq(members)
+            : std::vector<double>(retained.size(), 0.5),
+        fed.phase2.reference_freq));
   }
-  return entry_counts;
+
+  std::vector<LrBits> replies(fed.enclaves.size());
+  for (std::size_t g = 1; g < fed.enclaves.size(); ++g) {
+    if (std::find(dead.begin(), dead.end(), g) != dead.end()) continue;
+    const GdoEnclave& enclave = *fed.enclaves[g];
+    const auto reply = fed.enclaves[g]->on_phase2(fed.phase2);
+    EXPECT_TRUE(reply.ok());
+    if (!reply.ok()) return 0;
+    replies[g] = reply.value();
+    const std::size_t words = enclave.planes().words_per_plane();
+    EXPECT_EQ(words, genome::plane_words(fed.slices[g].num_individuals()));
+    EXPECT_EQ(replies[g].words.size(), retained.size() * words);
+    if (replies[g].words.size() != retained.size() * words) return 0;
+    for (std::size_t i = 0; i < retained.size(); ++i) {
+      bool constant = true;
+      for (std::size_t c = 0; c < fed.announce.combinations.size(); ++c) {
+        const auto& members = fed.announce.combinations[c];
+        if (!combination_live(members, dead) ||
+            std::find(members.begin(), members.end(), g) == members.end()) {
+          continue;
+        }
+        constant = constant && weights_equal(weights[c], i);
+      }
+      const std::uint64_t* plane = enclave.planes().plane(retained[i]);
+      for (std::size_t w = 0; w < words; ++w) {
+        EXPECT_EQ(replies[g].words[i * words + w], constant ? 0 : plane[w])
+            << "gdo " << g << " column " << i << " word " << w;
+      }
+    }
+  }
+
+  stats::LrSelectionParams params;
+  params.power_threshold = kPowerLimit;
+  const genome::BitPlanes reference_planes(fed.reference);
+  const stats::LrBitBlock reference_block =
+      stats::bit_block(reference_planes, retained);
+  std::size_t rejecting = 0;
+  for (std::size_t c = 0; c < fed.announce.combinations.size(); ++c) {
+    const auto& members = fed.announce.combinations[c];
+    if (!combination_live(members, dead)) continue;
+    std::vector<stats::LrBitBlock> blocks;
+    stats::LrMatrix case_lr;
+    for (std::uint32_t g : members) {
+      const std::size_t rows = fed.slices[g].num_individuals();
+      if (g == 0) {
+        blocks.push_back(
+            stats::bit_block(fed.enclaves[0]->planes(), retained));
+      } else {
+        blocks.push_back({replies[g].words.data(), genome::plane_words(rows),
+                          rows, {}});
+      }
+      case_lr.append_rows(
+          stats::build_lr_matrix(fed.slices[g], retained, weights[c]));
+    }
+    const stats::LrMatrix reference_lr =
+        stats::build_lr_matrix(fed.reference, retained, weights[c]);
+    const stats::LrSelectionResult dense =
+        stats::select_safe_snps(case_lr, reference_lr, params);
+    const stats::LrSelectionResult bits = stats::select_safe_snps(
+        blocks, reference_block, weights[c], params);
+    EXPECT_EQ(bits.safe_columns, dense.safe_columns) << "combination " << c;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(bits.final_power),
+              std::bit_cast<std::uint64_t>(dense.final_power))
+        << "combination " << c;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(bits.final_threshold),
+              std::bit_cast<std::uint64_t>(dense.final_threshold))
+        << "combination " << c;
+    if (!dense.safe_columns.empty() &&
+        dense.safe_columns.size() < retained.size()) {
+      ++rejecting;
+    }
+  }
+  return rejecting;
 }
 
 class LrBasisEquivalenceTest
@@ -115,16 +202,8 @@ class LrBasisEquivalenceTest
 TEST_P(LrBasisEquivalenceTest, BasisPathMatchesLegacyRebuild) {
   const auto [num_gdos, f] = GetParam();
   Federation fed = make_federation(num_gdos, f, 7 * num_gdos + f);
-  const auto entry_counts = check_against_legacy_rebuild(fed);
-  ASSERT_EQ(entry_counts.size(), num_gdos);
-  for (std::uint32_t g = 0; g < num_gdos; ++g) {
-    // Every combination containing GDO g yields exactly one entry.
-    std::size_t expected = 0;
-    for (const auto& members : fed.announce.combinations) {
-      if (combination_contains(members, g)) ++expected;
-    }
-    EXPECT_EQ(entry_counts[g], expected) << "gdo " << g;
-  }
+  EXPECT_GT(check_against_dense_oracle(fed), 0u)
+      << "no selection both kept and rejected; the sweep proves little";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -140,24 +219,14 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(LrBasisEquivalenceDegradedTest, DeadGdoSkippedOthersBitIdentical) {
   Federation fed = make_federation(4, 1, 99);
-  // GDO 3 went silent after phase 1: its slot travels empty and every
-  // combination naming it is dropped.
+  // GDO 3 went silent after phase 1: its slot travels empty, every
+  // combination naming it is dropped, and it never receives the broadcast.
   fed.phase2.dead_gdos = {3};
   fed.phase2.case_counts_per_gdo[3].clear();
   fed.phase2.n_case_per_gdo[3] = 0;
-  fed.enclaves.pop_back();  // the dead GDO never receives the broadcast
-  const auto entry_counts = check_against_legacy_rebuild(fed);
-  ASSERT_EQ(entry_counts.size(), 3u);
-  for (std::uint32_t g = 0; g < 3; ++g) {
-    std::size_t expected = 0;
-    for (const auto& members : fed.announce.combinations) {
-      if (combination_contains(members, g) &&
-          !combination_contains(members, 3)) {
-        ++expected;
-      }
-    }
-    EXPECT_EQ(entry_counts[g], expected) << "gdo " << g;
-  }
+  EXPECT_GT(check_against_dense_oracle(fed), 0u);
+  // A dead GDO that keeps talking is refused.
+  EXPECT_FALSE(fed.enclaves[3]->on_phase2(fed.phase2).ok());
 }
 
 }  // namespace

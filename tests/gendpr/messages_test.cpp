@@ -145,19 +145,19 @@ TEST(MessagesTest, AbortNoticeTruncationRejected) {
   }
 }
 
-TEST(MessagesTest, LrMatricesRoundTrip) {
-  LrMatrices msg;
-  LrMatrices::Entry entry;
-  entry.combination_id = 2;
-  entry.matrix = stats::LrMatrix(2, 3);
-  entry.matrix.at(0, 0) = 1.5;
-  entry.matrix.at(1, 2) = -0.25;
-  msg.entries.push_back(entry);
-  const auto restored = LrMatrices::deserialize(msg.serialize());
+TEST(MessagesTest, LrBitsRoundTrip) {
+  LrBits msg;
+  msg.words = {0, 0x8000000000000001ull, 0x5a5a, ~0ull};
+  const common::Bytes bytes = msg.serialize();
+  EXPECT_EQ(bytes.size(), msg.encoded_size());
+  EXPECT_EQ(bytes.size(), 1 + 4 * 8u);  // varint count + 8 bytes per word
+  const auto restored = LrBits::deserialize(bytes);
   ASSERT_TRUE(restored.ok());
-  ASSERT_EQ(restored.value().entries.size(), 1u);
-  EXPECT_EQ(restored.value().entries[0].combination_id, 2u);
-  EXPECT_EQ(restored.value().entries[0].matrix, entry.matrix);
+  EXPECT_EQ(restored.value().words, msg.words);
+
+  const auto empty = LrBits::deserialize(LrBits{}.serialize());
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty.value().words.empty());
 }
 
 TEST(MessagesTest, Phase3ResultRoundTrip) {
@@ -201,19 +201,28 @@ TEST(MessagesTest, TruncationRejectedEverywhere) {
   phase2.reference_freq = {0.1, 0.2, 0.3};
   phase2.case_counts_per_gdo = {{1, 2, 3}};
   phase2.n_case_per_gdo = {10};
-  LrMatrices matrices;
-  matrices.entries.push_back({0, stats::LrMatrix(2, 2)});
+  LrBits bits;
+  bits.words = {1, 2, 3};
 
-  const std::vector<common::Bytes> serialized = {
-      announce.serialize(), phase2.serialize(), matrices.serialize()};
-  for (const auto& full : serialized) {
-    for (std::size_t len = 0; len < full.size(); ++len) {
-      const common::BytesView cut(full.data(), len);
-      EXPECT_FALSE(StudyAnnounce::deserialize(cut).ok() &&
-                   Phase2Result::deserialize(cut).ok() &&
-                   LrMatrices::deserialize(cut).ok())
-          << "truncation to " << len << " accepted";
-    }
+  const common::Bytes full_announce = announce.serialize();
+  const common::Bytes full_phase2 = phase2.serialize();
+  const common::Bytes full_bits = bits.serialize();
+  for (std::size_t len = 0; len < full_announce.size(); ++len) {
+    EXPECT_FALSE(StudyAnnounce::deserialize(
+                     common::BytesView(full_announce.data(), len))
+                     .ok())
+        << "announce truncated to " << len << " accepted";
+  }
+  for (std::size_t len = 0; len < full_phase2.size(); ++len) {
+    EXPECT_FALSE(
+        Phase2Result::deserialize(common::BytesView(full_phase2.data(), len))
+            .ok())
+        << "phase2 truncated to " << len << " accepted";
+  }
+  for (std::size_t len = 0; len < full_bits.size(); ++len) {
+    EXPECT_FALSE(
+        LrBits::deserialize(common::BytesView(full_bits.data(), len)).ok())
+        << "LR bits truncated to " << len << " accepted";
   }
 }
 
@@ -226,13 +235,17 @@ TEST(MessagesTest, TrailingBytesRejected) {
 }
 
 TEST(MessagesTest, MaliciousMatrixDimensionsRejected) {
-  // Claim a huge matrix with no body: must fail cleanly, not allocate.
-  wire::Writer w;
-  w.varint(1);          // one entry
-  w.u32(0);             // combination id
-  w.u32(0xffffffff);    // rows
-  w.u32(0xffffffff);    // cols
-  EXPECT_FALSE(LrMatrices::deserialize(w.buffer()).ok());
+  // Claim a huge bit matrix with no body: must fail cleanly, not allocate.
+  wire::Writer huge;
+  huge.varint(0xffffffffffull);  // word count
+  EXPECT_FALSE(LrBits::deserialize(huge.buffer()).ok());
+
+  // A word count one past the body is a truncation, not a short read.
+  wire::Writer short_body;
+  short_body.varint(3);
+  short_body.u64(1);
+  short_body.u64(2);
+  EXPECT_FALSE(LrBits::deserialize(short_body.buffer()).ok());
 }
 
 }  // namespace

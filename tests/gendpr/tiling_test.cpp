@@ -1,12 +1,12 @@
-// Tiled-vs-monolithic equivalence for the pipelined phase engine.
+// Tiled-vs-monolithic equivalence for the pipelined MAF phase, and the
+// leader's enclave-memory bound.
 //
-// Tiling (StudyConfig::snp_tile_width > 0) changes the message chunking,
-// the transient working-set sizes, and the leader/member scheduling — never
-// the assembled per-phase state. These tests pin that contract: every tile
-// width must produce bit-identical selections to the monolithic protocol,
-// across federation sizes, collusion policies, and dead-GDO degraded runs,
-// and a tiled run's transient EPC peak must stay under a limit that the
-// monolithic run exceeds.
+// Tiling (StudyConfig::snp_tile_width > 0) changes the phase-1 message
+// chunking and the leader/member scheduling — never the assembled
+// per-phase state. These tests pin that contract: every tile width must
+// produce bit-identical selections to the monolithic protocol, across
+// federation sizes, collusion policies, and dead-GDO degraded runs. The
+// EPC test pins what the leader's meter charges for phase 3.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -50,7 +50,6 @@ TEST(TilingTest, TiledMatchesMonolithicAcrossWidthsAndPolicies) {
       ASSERT_TRUE(mono.ok()) << "G=" << g << " f=" << f << ": "
                              << mono.error().to_string();
       EXPECT_EQ(mono.value().maf_tiles, 1u);
-      EXPECT_EQ(mono.value().lr_tiles, 1u);
       for (std::uint32_t width : {7u, 64u}) {
         FederationSpec tiled_spec = spec;
         tiled_spec.config.snp_tile_width = width;
@@ -62,7 +61,6 @@ TEST(TilingTest, TiledMatchesMonolithicAcrossWidthsAndPolicies) {
         expect_same_selection(tiled.value(), mono.value(), label);
         // 130 announced SNPs split into ceil(130/width) phase-1 tiles.
         EXPECT_EQ(tiled.value().maf_tiles, (130 + width - 1) / width) << label;
-        EXPECT_GE(tiled.value().lr_tiles, 1u) << label;
       }
     }
   }
@@ -81,15 +79,14 @@ TEST(TilingTest, WidthBeyondStudyCollapsesToMonolithic) {
   const auto collapsed = run_federated_study(cohort, wide);
   ASSERT_TRUE(collapsed.ok());
   EXPECT_EQ(collapsed.value().maf_tiles, 1u);
-  EXPECT_EQ(collapsed.value().lr_tiles, 1u);
   expect_same_selection(collapsed.value(), mono.value(), "width>=total");
 }
 
 TEST(TilingTest, EmptyFunnelCompletesWithZeroLrTiles) {
   // maf_cutoff = 1.0 retains nothing (MAF tops out at 0.5): L' is empty,
-  // the LD walks and LR selection have no input, and the phase-3 plan must
-  // be empty - zero tiles, no phase-2 broadcast bodies - instead of a
-  // single phantom tile over zero SNPs. Exercised monolithic and tiled.
+  // the LD walks and LR selection have no input, and phase 3 must send
+  // nothing - no phase-2 broadcast, no LR replies. Exercised monolithic and
+  // tiled.
   const genome::Cohort cohort = test_cohort(200, 200, 80, 11);
   for (std::uint32_t width : {0u, 16u}) {
     FederationSpec spec;
@@ -104,7 +101,6 @@ TEST(TilingTest, EmptyFunnelCompletesWithZeroLrTiles) {
     EXPECT_TRUE(r.outcome.l_prime.empty());
     EXPECT_TRUE(r.outcome.l_double_prime.empty());
     EXPECT_TRUE(r.outcome.l_safe.empty());
-    EXPECT_EQ(r.lr_tiles, 0u);
     EXPECT_EQ(r.phase2_body_bytes, 0u);
     EXPECT_EQ(r.outcome.final_power, 0.0);
   }
@@ -181,23 +177,22 @@ TEST(TilingTest, DegradedDeadGdoRunMatchesMonolithic) {
                         "died mid-stream width=16");
 }
 
-TEST(TilingTest, TiledRunFitsUnderEpcLimitMonolithicExceeds) {
-  // Self-calibrating flat-memory check: measure both modes' EPC peaks under
-  // a generous limit, then re-run with a limit placed strictly between the
-  // leader's tiled and monolithic peaks. The tiled engine (one charged
-  // O(tile) LR matrix slice per node) must complete with the identical
-  // selection; the monolithic run must fail capacity_exceeded when the
-  // leader derives its full-width matrix. The leader gets a deliberately
-  // oversized case slice so its matrix — and therefore its peak — dominates
-  // the member's and the pinch point trips only the leader.
+TEST(TilingTest, LeaderEpcPeakIsTheLimitItNeeds) {
+  // Self-calibrating: run under a generous limit, check that the leader's
+  // reported peak covers what phase 3 must hold inside its enclave - its
+  // own planes, the reference planes and the member's received bits, each
+  // counted from the shapes - then show the peak is exactly the limit the
+  // study needs: it completes under that limit with the same selection and
+  // fails capacity_exceeded one byte below it. The leader holds most of
+  // the cases and the reference, so its peak dominates the member's.
   const genome::Cohort cohort = test_cohort(420, 200, 220, 17);
-  const std::uint32_t kWidth = 12;
+  constexpr std::size_t kLeaderRows = 300;
   struct Run {
     common::Result<StudyResult> result;
     std::uint64_t leader_peak = 0;
     std::uint64_t member_peak = 0;
   };
-  auto run_with = [&](std::uint32_t width, std::uint64_t limit) {
+  auto run_with = [&](std::uint64_t limit) {
     tee::QuotingAuthority authority{std::array<std::uint8_t, 32>{0x71}};
     tee::Platform leader_platform{
         1, authority, crypto::Csprng(std::array<std::uint8_t, 32>{1}), limit};
@@ -206,15 +201,14 @@ TEST(TilingTest, TiledRunFitsUnderEpcLimitMonolithicExceeds) {
     StudyAnnounce announce;
     announce.study_id = 1;
     announce.num_snps = static_cast<std::uint32_t>(cohort.cases.num_snps());
-    announce.config.snp_tile_width = width;
     announce.combinations =
         Coordinator::build_combinations(2, CollusionPolicy::none());
     LeaderSession leader(leader_platform, 0, 2,
-                         cohort.cases.slice_rows(0, 300), cohort.controls,
-                         announce);
+                         cohort.cases.slice_rows(0, kLeaderRows),
+                         cohort.controls, announce);
     leader.set_receive_timeout(std::chrono::milliseconds(20000));
     MemberSession member(member_platform, 1, 0,
-                         cohort.cases.slice_rows(300, 420));
+                         cohort.cases.slice_rows(kLeaderRows, 420));
     member.set_receive_timeout(std::chrono::milliseconds(20000));
     pump_federation({&leader, &member});
     Run run{outcome_of(leader), 0, 0};
@@ -223,33 +217,37 @@ TEST(TilingTest, TiledRunFitsUnderEpcLimitMonolithicExceeds) {
     return run;
   };
 
-  const Run mono = run_with(0, tee::EpcMeter::kDefaultLimitBytes);
-  ASSERT_TRUE(mono.result.ok()) << mono.result.error().to_string();
-  const Run tiled = run_with(kWidth, tee::EpcMeter::kDefaultLimitBytes);
-  ASSERT_TRUE(tiled.result.ok()) << tiled.result.error().to_string();
-  expect_same_selection(tiled.result.value(), mono.result.value(),
-                        "generous limit");
-  ASSERT_GT(tiled.result.value().lr_tiles, 1u)
-      << "L'' collapsed below the tile width; the sweep proves nothing";
+  const Run generous = run_with(tee::EpcMeter::kDefaultLimitBytes);
+  ASSERT_TRUE(generous.result.ok()) << generous.result.error().to_string();
+  const StudyResult& study = generous.result.value();
+  const std::size_t l_dprime = study.outcome.l_double_prime.size();
+  ASSERT_GT(l_dprime, 0u);
+  const std::uint64_t snps = cohort.cases.num_snps();
+  const std::uint64_t leader_plane_bytes = snps * ((kLeaderRows + 63) / 64) * 8;
+  const std::uint64_t reference_plane_bytes = snps * ((200 + 63) / 64) * 8;
+  const std::uint64_t member_bit_bytes = l_dprime * ((120 + 63) / 64) * 8;
+  EXPECT_GE(generous.leader_peak,
+            leader_plane_bytes + reference_plane_bytes + member_bit_bytes);
+  // Phase 3, not provisioning (packed rows next to the planes), sets the
+  // peak, so the pinch below bites the LR state.
+  const std::uint64_t provisioning =
+      cohort.cases.slice_rows(0, kLeaderRows).storage_bytes() +
+      genome::BitPlanes(cohort.cases.slice_rows(0, kLeaderRows))
+          .storage_bytes() +
+      genome::BitPlanes(cohort.controls).storage_bytes();
+  ASSERT_GT(generous.leader_peak, provisioning);
+  ASSERT_LT(generous.member_peak, generous.leader_peak - 1);
+  EXPECT_EQ(study.epc_peak_leader, generous.leader_peak);
 
-  ASSERT_LT(tiled.leader_peak, mono.leader_peak)
-      << "tiling did not lower the leader's transient peak";
-  const std::uint64_t pinch = (tiled.leader_peak + mono.leader_peak) / 2;
-  // The pinch must bite the leader's full-width matrix and nothing else.
-  ASSERT_LT(mono.member_peak, pinch);
-  ASSERT_LT(tiled.member_peak, pinch);
+  const Run exact = run_with(generous.leader_peak);
+  ASSERT_TRUE(exact.result.ok()) << exact.result.error().to_string();
+  expect_same_selection(exact.result.value(), study, "limit == peak");
+  EXPECT_EQ(exact.leader_peak, generous.leader_peak);
 
-  const Run tiled_pinched = run_with(kWidth, pinch);
-  ASSERT_TRUE(tiled_pinched.result.ok())
-      << tiled_pinched.result.error().to_string();
-  expect_same_selection(tiled_pinched.result.value(), mono.result.value(),
-                        "pinched limit");
-
-  const Run mono_pinched = run_with(0, pinch);
-  ASSERT_FALSE(mono_pinched.result.ok());
-  EXPECT_EQ(mono_pinched.result.error().code,
-            common::Errc::capacity_exceeded)
-      << mono_pinched.result.error().to_string();
+  const Run pinched = run_with(generous.leader_peak - 1);
+  ASSERT_FALSE(pinched.result.ok());
+  EXPECT_EQ(pinched.result.error().code, common::Errc::capacity_exceeded)
+      << pinched.result.error().to_string();
 }
 
 TEST(TilingTest, PipelineCountersReportOverlap) {
@@ -268,7 +266,6 @@ TEST(TilingTest, PipelineCountersReportOverlap) {
   // summary arrival makes the final tile ready), and the report carries
   // both the tiling shape and the pipeline counters.
   EXPECT_EQ(result.value().maf_tiles_assessed_inline, 10u);
-  EXPECT_GE(result.value().lr_tiles, 1u);
   EXPECT_FALSE(result.value().kernel_backend.empty());
 
   ReportContext context;

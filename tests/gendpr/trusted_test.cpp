@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <tuple>
 
@@ -163,6 +164,20 @@ Phase2Result make_phase2_counts(const GdoEnclave& enclave,
   return phase2;
 }
 
+/// Words of column `col` in a reply from an enclave with `words` words per
+/// plane.
+std::vector<std::uint64_t> reply_column(const LrBits& bits, std::size_t col,
+                                        std::size_t words) {
+  return {bits.words.begin() + static_cast<std::ptrdiff_t>(col * words),
+          bits.words.begin() + static_cast<std::ptrdiff_t>((col + 1) * words)};
+}
+
+std::vector<std::uint64_t> plane_of(const GdoEnclave& enclave,
+                                    std::uint32_t snp) {
+  const std::uint64_t* plane = enclave.planes().plane(snp);
+  return {plane, plane + enclave.planes().words_per_plane()};
+}
+
 TEST(GdoEnclaveTest, Phase2BuildsMatricesOnlyForOwnCombinations) {
   Fixture f;
   GdoEnclave enclave(f.platform, 1);
@@ -171,16 +186,29 @@ TEST(GdoEnclaveTest, Phase2BuildsMatricesOnlyForOwnCombinations) {
   // Combinations of 2 of {0,1,2}: {0,1}, {0,2}, {1,2}. GDO 1 is in 2 of 3.
   ASSERT_TRUE(enclave.on_study_announce(announce).ok());
   ASSERT_TRUE(enclave.on_phase1(Phase1Result{{0, 1, 2}}).ok());
-  const Phase2Result phase2 = make_phase2_counts(enclave, {0, 1, 2});
-  const auto matrices = enclave.on_phase2(phase2);
-  ASSERT_TRUE(matrices.ok());
-  ASSERT_EQ(matrices.value().entries.size(), 2u);
-  EXPECT_EQ(matrices.value().entries[0].combination_id, 0u);
-  EXPECT_EQ(matrices.value().entries[1].combination_id, 2u);
-  for (const auto& entry : matrices.value().entries) {
-    EXPECT_EQ(entry.matrix.rows(), f.cohort.cases.num_individuals());
-    EXPECT_EQ(entry.matrix.cols(), 3u);
-  }
+  Phase2Result phase2 = make_phase2_counts(enclave, {0, 1, 2});
+  // GDOs 0 and 2 report identical counts, so {0,1} and {1,2} share column
+  // 0's case frequency; a reference frequency equal to it makes both of
+  // column 0's weights log(1) = 0 in GDO 1's combinations. {0,2} still
+  // weighs column 0's genotypes differently, but GDO 1's bits never feed
+  // it.
+  phase2.reference_freq[0] = phase2.combination_case_freq({0, 1})[0];
+  ASSERT_NE(phase2.combination_case_freq({0, 2})[0], phase2.reference_freq[0]);
+  const std::size_t words = enclave.planes().words_per_plane();
+  ASSERT_NE(plane_of(enclave, 0), std::vector<std::uint64_t>(words, 0));
+
+  const std::uint64_t planes_bytes = f.platform.epc().in_use();
+  const auto bits = enclave.on_phase2(phase2);
+  ASSERT_TRUE(bits.ok()) << bits.error().to_string();
+  // One plane per L'' SNP, whatever the number of combinations.
+  ASSERT_EQ(bits.value().words.size(), 3 * words);
+  EXPECT_EQ(reply_column(bits.value(), 0, words),
+            std::vector<std::uint64_t>(words, 0));
+  EXPECT_EQ(reply_column(bits.value(), 1, words), plane_of(enclave, 1));
+  EXPECT_EQ(reply_column(bits.value(), 2, words), plane_of(enclave, 2));
+  // The reply buffer was charged while it was built, and only then.
+  EXPECT_GE(f.platform.epc().peak(), planes_bytes + 3 * words * 8);
+  EXPECT_EQ(f.platform.epc().in_use(), planes_bytes);
 }
 
 TEST(GdoEnclaveTest, Phase2FrequencySizeMismatchRejected) {
@@ -234,14 +262,27 @@ TEST(GdoEnclaveTest, Phase2SkipsCombinationsWithDeadMembers) {
                       f.make_announce(3, CollusionPolicy::fixed(1)))
                   .ok());
   Phase2Result phase2 = make_phase2_counts(enclave, {0, 1, 2});
+  // Column 0's weights coincide in {1,2} but not in {0,1} (GDO 0 reports
+  // other counts).
+  phase2.case_counts_per_gdo[0] = {9, 9, 9};
+  phase2.reference_freq[0] = phase2.combination_case_freq({1, 2})[0];
+  ASSERT_NE(phase2.combination_case_freq({0, 1})[0], phase2.reference_freq[0]);
+  const std::size_t words = enclave.planes().words_per_plane();
+  const auto alive = enclave.on_phase2(phase2);
+  ASSERT_TRUE(alive.ok());
+  EXPECT_EQ(reply_column(alive.value(), 0, words), plane_of(enclave, 0));
+
   phase2.dead_gdos = {0};
   phase2.case_counts_per_gdo[0].clear();  // dead slot travels empty
   phase2.n_case_per_gdo[0] = 0;
-  const auto matrices = enclave.on_phase2(phase2);
-  ASSERT_TRUE(matrices.ok());
-  // Only {1,2} survives: {0,1} and {0,2} name the dead GDO 0.
-  ASSERT_EQ(matrices.value().entries.size(), 1u);
-  EXPECT_EQ(matrices.value().entries[0].combination_id, 2u);
+  const auto degraded = enclave.on_phase2(phase2);
+  ASSERT_TRUE(degraded.ok());
+  // Only {1,2} survives ({0,1} and {0,2} name the dead GDO 0), and there
+  // column 0 is constant: its bits stay home.
+  ASSERT_EQ(degraded.value().words.size(), 3 * words);
+  EXPECT_EQ(reply_column(degraded.value(), 0, words),
+            std::vector<std::uint64_t>(words, 0));
+  EXPECT_EQ(reply_column(degraded.value(), 1, words), plane_of(enclave, 1));
 }
 
 TEST(CoordinatorTest, RejectsBogusSummaries) {
@@ -318,29 +359,128 @@ TEST(CoordinatorTest, LrMatrixValidation) {
     per_gdo[1] = stats::LdMoments{5, 5, 1, 5, 5, 50};
     return per_gdo;
   };
+  const common::Status early = coordinator.add_lr_bits(1, LrBits{});
+  ASSERT_FALSE(early.ok());
+  EXPECT_EQ(early.error().code, common::Errc::state_violation);
   ASSERT_TRUE(coordinator.run_ld_phase(fetch).ok());
 
-  LrMatrices bad_combination;
-  bad_combination.entries.push_back({7, stats::LrMatrix(50, 1)});
-  EXPECT_FALSE(coordinator.add_lr_matrices(1, bad_combination).ok());
-
-  LrMatrices wrong_rows;
-  wrong_rows.entries.push_back(
-      {0, stats::LrMatrix(3, coordinator.outcome().l_double_prime.size())});
-  EXPECT_FALSE(coordinator.add_lr_matrices(1, wrong_rows).ok());
-
-  // A tile the GDO already sent is rejected, not silently overwritten (the
-  // host counts tiles per member, so an accepted repeat would end its
-  // gather early).
   ASSERT_FALSE(coordinator.outcome().l_double_prime.empty());
-  LrMatrices valid;
-  valid.entries.push_back(
-      {0, stats::LrMatrix(50, coordinator.outcome().l_double_prime.size())});
-  ASSERT_TRUE(coordinator.add_lr_matrices(1, valid).ok());
-  const common::Status repeated = coordinator.add_lr_matrices(1, valid);
+  // Member GDO 1 has 50 cases: one word per plane.
+  LrBits valid;
+  valid.words.assign(coordinator.outcome().l_double_prime.size(), 1);
+
+  const common::Status unknown = coordinator.add_lr_bits(7, valid);
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.error().code, common::Errc::unknown_peer);
+  EXPECT_FALSE(coordinator.add_lr_bits(0, valid).ok());  // the leader itself
+
+  LrBits short_reply = valid;
+  short_reply.words.pop_back();
+  const common::Status wrong_size = coordinator.add_lr_bits(1, short_reply);
+  ASSERT_FALSE(wrong_size.ok());
+  EXPECT_EQ(wrong_size.error().message, "LR bits word count mismatch");
+  EXPECT_FALSE(coordinator.phase3_ready());
+
+  // A GDO answers once; a repeat is rejected, not silently overwritten
+  // (the host counts one reply per member, so an accepted repeat would hide
+  // a missing one).
+  ASSERT_TRUE(coordinator.add_lr_bits(1, valid).ok());
+  EXPECT_TRUE(coordinator.phase3_ready());
+  const common::Status repeated = coordinator.add_lr_bits(1, valid);
   ASSERT_FALSE(repeated.ok());
   EXPECT_EQ(repeated.error().code, common::Errc::bad_message);
-  EXPECT_EQ(repeated.error().message, "duplicate LR matrices tile");
+  EXPECT_EQ(repeated.error().message, "duplicate LR bits");
+
+  ASSERT_TRUE(coordinator.mark_gdo_dead(1).ok());
+  const common::Status from_dead = coordinator.add_lr_bits(1, valid);
+  ASSERT_FALSE(from_dead.ok());
+  EXPECT_EQ(from_dead.error().message, "LR bits from a dead GDO");
+}
+
+TEST(CoordinatorTest, ConstantColumnTravelsAsZeroWordsAndKeepsLSafe) {
+  // Handcrafted cohort: SNP 5 carries the same minor-allele count in the
+  // pooled cases as in the reference, so its case and reference
+  // frequencies, and hence its two LR weights (both log(1) = 0), are equal
+  // in the only combination. The member ships that column as zero words;
+  // the leader's selection must still equal the dense oracle over the true
+  // bits.
+  genome::CohortSpec spec;
+  spec.num_case = 130;  // leader 70 rows, member 60: neither 64-aligned
+  spec.num_control = 130;
+  spec.num_snps = 40;
+  spec.seed = 77;
+  genome::Cohort cohort = genome::generate_cohort(spec);
+  constexpr std::uint32_t kConstant = 5;
+  for (std::size_t r = 0; r < 130; ++r) {
+    cohort.cases.set(r, kConstant, r % 3 == 0);
+    cohort.controls.set(r, kConstant, r % 3 == 0);
+  }
+  ASSERT_EQ(cohort.cases.allele_count(kConstant),
+            cohort.controls.allele_count(kConstant));
+
+  tee::QuotingAuthority authority{std::array<std::uint8_t, 32>{0x0c}};
+  tee::Platform leader_platform{
+      1, authority, crypto::Csprng(std::array<std::uint8_t, 32>{1})};
+  tee::Platform member_platform{
+      2, authority, crypto::Csprng(std::array<std::uint8_t, 32>{2})};
+  GdoEnclave leader(leader_platform, 0);
+  GdoEnclave member(member_platform, 1);
+  ASSERT_TRUE(leader.provision_dataset(cohort.cases.slice_rows(0, 70)).ok());
+  ASSERT_TRUE(
+      member.provision_dataset(cohort.cases.slice_rows(70, 130)).ok());
+  StudyAnnounce announce;
+  announce.study_id = 1;
+  announce.num_snps = 40;
+  announce.combinations =
+      Coordinator::build_combinations(2, CollusionPolicy::none());
+  Coordinator coordinator(leader, cohort.controls, 2, announce);
+  ASSERT_TRUE(member.on_study_announce(announce).ok());
+  ASSERT_TRUE(coordinator.add_summary(1, member.make_summary_stats()).ok());
+  const auto phase1 = coordinator.run_maf_phase();
+  ASSERT_TRUE(phase1.ok());
+  ASSERT_TRUE(member.on_phase1(phase1.value()).ok());
+  const auto phase2 = coordinator.run_ld_phase(
+      [&](const MomentsRequest& request, const std::vector<std::uint32_t>&) {
+        std::vector<std::optional<stats::LdMoments>> per_gdo(2);
+        per_gdo[1] = member.on_moments_request(request).value().moments;
+        return per_gdo;
+      });
+  ASSERT_TRUE(phase2.ok());
+  const std::vector<std::uint32_t>& l_dprime = phase2.value().retained;
+  const auto it = std::find(l_dprime.begin(), l_dprime.end(), kConstant);
+  ASSERT_NE(it, l_dprime.end()) << "the constant SNP did not reach L''";
+  const auto column = static_cast<std::size_t>(it - l_dprime.begin());
+
+  const auto bits = member.on_phase2(phase2.value());
+  ASSERT_TRUE(bits.ok());
+  const std::size_t words = member.planes().words_per_plane();
+  EXPECT_EQ(reply_column(bits.value(), column, words),
+            std::vector<std::uint64_t>(words, 0));
+  EXPECT_NE(plane_of(member, kConstant), std::vector<std::uint64_t>(words, 0));
+  ASSERT_TRUE(coordinator.add_lr_bits(1, bits.value()).ok());
+  const auto phase3 = coordinator.run_lr_phase();
+  ASSERT_TRUE(phase3.ok());
+
+  // Dense oracle over the true bits, leader rows first.
+  const stats::LrWeights weights = stats::lr_weights(
+      phase2.value().combination_case_freq({0, 1}),
+      phase2.value().reference_freq);
+  EXPECT_EQ(weights.when_minor[column], weights.when_major[column]);
+  stats::LrMatrix case_lr =
+      stats::build_lr_matrix(leader.planes(), l_dprime, weights);
+  case_lr.append_rows(
+      stats::build_lr_matrix(member.planes(), l_dprime, weights));
+  const stats::LrSelectionResult oracle = stats::select_safe_snps(
+      case_lr,
+      stats::build_lr_matrix(genome::BitPlanes(cohort.controls), l_dprime,
+                             weights),
+      stats::LrSelectionParams{});
+  std::vector<std::uint32_t> expected;
+  for (std::uint32_t c : oracle.safe_columns) expected.push_back(l_dprime[c]);
+  EXPECT_EQ(phase3.value().safe, expected);
+  EXPECT_EQ(phase3.value().final_power, oracle.final_power);
+  EXPECT_NE(std::find(expected.begin(), expected.end(), kConstant),
+            expected.end());
 }
 
 /// Three-GDO coordinator (f = 1: combinations {0,1}, {0,2}, {1,2}) with

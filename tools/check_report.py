@@ -7,9 +7,9 @@ Usage:
 Files whose top-level object carries ``"schema": "gendpr.run_report.v2"``
 are validated structurally: required sections, per-phase wall times, per-link
 byte counts, per-GDO EPC peaks, the SIMD kernel backend, the tiling shape of
-the pipelined phase engine, and — when a trace is embedded — that every
-analysis phase appears exactly once, carries one ``maf.tile.<k>`` /
-``lr.tile.<k>`` span per tile, and at most one combination span per
+the pipelined MAF phase, the exact phase-3 bit ledger, and — when a trace
+is embedded — that every analysis phase appears exactly once, carries one
+``maf.tile.<k>`` span per MAF tile, and at most one combination span per
 combination in the LD/LR phases (the sweep skips combinations once the
 running intersection is empty). Google-benchmark JSON (``"benchmarks"`` array) gets a
 shallow sanity check. Anything else is an error. Exits non-zero on the first
@@ -35,7 +35,10 @@ def require(condition, message):
 
 def check_run_report(doc):
     require(doc.get("schema") == SCHEMA, f"schema is not {SCHEMA}")
-    require(isinstance(doc.get("transport"), str), "missing transport label")
+    require(
+        doc.get("transport") in ("in_process", "epoll"),
+        f"transport {doc.get('transport')!r} is not a known transport",
+    )
 
     study = doc.get("study")
     require(isinstance(study, dict), "missing study section")
@@ -48,6 +51,11 @@ def check_run_report(doc):
     require(
         1 <= study.get("live_combinations", 0) <= study["num_combinations"],
         "study.live_combinations out of range",
+    )
+    populations = study.get("case_population_per_gdo")
+    require(
+        isinstance(populations, list) and len(populations) == study["num_gdos"],
+        "study.case_population_per_gdo missing or not one entry per GDO",
     )
     selection = study.get("selection")
     require(isinstance(selection, dict), "missing study.selection")
@@ -72,7 +80,7 @@ def check_run_report(doc):
     require(network.get("total_bytes", 0) > 0, "no network traffic recorded")
     if selection["l_double_prime"] > 0:
         # An empty phase-2 funnel (every SNP filtered before the LR test)
-        # legitimately broadcasts no phase-2 tiles at all.
+        # legitimately sends no phase-2 broadcast at all.
         require(
             network.get("phase2_body_bytes", 0) > 0,
             "no phase-2 broadcast body recorded",
@@ -114,6 +122,10 @@ def check_run_report(doc):
             labels.get("crypto.backend") == crypto["backend"],
             "metrics crypto.backend label disagrees with the crypto section",
         )
+        require(
+            labels.get("net.transport") == doc["transport"],
+            "metrics net.transport label disagrees with the report's transport",
+        )
 
     kernels = doc.get("kernels")
     require(isinstance(kernels, dict), "missing kernels section")
@@ -131,22 +143,12 @@ def check_run_report(doc):
     tiles = doc.get("tiles")
     require(isinstance(tiles, dict), "missing tiles section")
     require(tiles.get("count", 0) >= 1, "tiles.count must be at least 1")
-    if selection["l_double_prime"] == 0:
-        # Nothing survived phase 2: the phase-3 plan is empty, zero tiles.
-        require(
-            tiles.get("lr_count", -1) == 0,
-            "empty L'' must report zero LR tiles",
-        )
-    else:
-        require(
-            tiles.get("lr_count", 0) >= 1, "tiles.lr_count must be at least 1"
-        )
     width = tiles.get("width")
     require(isinstance(width, int) and width >= 0, "tiles.width missing")
     if width == 0:
         require(
-            tiles["count"] == 1 and tiles["lr_count"] <= 1,
-            "monolithic run (width 0) must report at most one tile per phase",
+            tiles["count"] == 1,
+            "monolithic run (width 0) must report one MAF tile",
         )
 
     pipeline = doc.get("pipeline")
@@ -157,12 +159,11 @@ def check_run_report(doc):
         inline_tiles <= tiles["count"],
         "more MAF tiles assessed inline than the plan has tiles",
     )
-    for key in ("leader_inline_assess_ms", "leader_lr_derive_ms"):
-        value = pipeline.get(key)
-        require(
-            isinstance(value, (int, float)) and value >= 0,
-            f"pipeline.{key} missing or negative",
-        )
+    value = pipeline.get("leader_inline_assess_ms")
+    require(
+        isinstance(value, (int, float)) and value >= 0,
+        "pipeline.leader_inline_assess_ms missing or negative",
+    )
 
     pruning = doc.get("pruning")
     require(isinstance(pruning, dict), "missing pruning section")
@@ -208,8 +209,8 @@ def check_run_report(doc):
     require(isinstance(events, dict), "missing events section")
     require(isinstance(events.get("dead_gdos"), list), "missing events.dead_gdos")
 
-    check_lr_counters(doc, study, tiles, degraded=bool(events["dead_gdos"]))
-    check_wire_counters(doc, study, tiles, degraded=bool(events["dead_gdos"]))
+    check_lr_ledger(doc, study, selection, degraded=bool(events["dead_gdos"]))
+    check_wire_counters(doc, study, selection, degraded=bool(events["dead_gdos"]))
 
     trace = doc.get("trace")
     if trace is not None:
@@ -222,67 +223,64 @@ def check_run_report(doc):
         )
 
 
-def check_lr_counters(doc, study, tiles, degraded):
-    """LR-phase accounting invariants over the exported counters.
+def check_lr_ledger(doc, study, selection, degraded):
+    """Phase-3 accounting over the exported counters.
 
-    Every node that receives a phase-2 tile derives one matrix slice over
-    that tile's columns per live combination it belongs to, straight from
-    its bit planes; the leader also derives the reference panel's slice per
-    live combination. With T = tiles.lr_count, a clean run pins the ledger
-    exactly:
-        combination_matvecs == combination_members_total * T
-        reference_matvecs == live_combinations * T
-
-    A degraded run only bounds the total: a member may derive matrices and
-    then be declared dead afterwards, so the counter can reach the
-    clean-run value but never pins to the post-mortem live set.
+    Each live member answers the phase-2 broadcast with one reply holding
+    its bit plane of every L'' SNP, ceil(n_g / 64) words of 8 bytes each,
+    whatever the number of combinations; an empty L'' is never broadcast.
+    A clean run pins the ledger exactly:
+        lr.bit_replies == num_gdos - 1
+        lr.bit_bytes_received == sum over members g of |L''| * ceil(n_g/64) * 8
+    In a degraded run a member may die before it answers, so both only
+    bound from above.
     """
     metrics = doc.get("metrics")
     if not isinstance(metrics, dict):
         return  # run was not observed; nothing to cross-check
     counters = metrics.get("counters")
     require(isinstance(counters, dict), "metrics.counters missing")
-    matvecs = counters.get("lr.combination_matvecs", 0)
-    ref_matvecs = counters.get("lr.reference_matvecs", 0)
-    members_total = study["combination_members_total"]
-    live_combinations = study["live_combinations"]
-    lr_tiles = tiles["lr_count"]
-    if lr_tiles == 0:
-        require(
-            matvecs == 0 and ref_matvecs == 0,
-            "LR derivation counters must be zero with an empty phase-3 plan",
-        )
-        return
+    replies = counters.get("lr.bit_replies", 0)
+    bit_bytes = counters.get("lr.bit_bytes_received", 0)
+    width = selection["l_double_prime"]
+    members = [
+        n
+        for g, n in enumerate(study["case_population_per_gdo"])
+        if g != study.get("leader_gdo")
+    ]
+    expected_replies = len(members) if width > 0 else 0
+    expected_bytes = sum(width * ((n + 63) // 64) * 8 for n in members)
     if degraded:
         require(
-            matvecs >= members_total * lr_tiles,
-            f"lr.combination_matvecs {matvecs} below the live-combination "
-            f"member-tile total {members_total * lr_tiles}",
+            replies <= expected_replies and bit_bytes <= expected_bytes,
+            f"lr.bit_replies {replies} / lr.bit_bytes_received {bit_bytes} "
+            f"exceed one reply per member ({expected_replies} / "
+            f"{expected_bytes} bytes)",
         )
-    else:
-        require(
-            matvecs == members_total * lr_tiles,
-            f"lr.combination_matvecs {matvecs}: expected one derivation "
-            f"per combination member per tile "
-            f"({members_total} * {lr_tiles})",
-        )
-        require(
-            ref_matvecs == live_combinations * lr_tiles,
-            f"lr.reference_matvecs {ref_matvecs}: expected one per live "
-            f"combination per tile ({live_combinations} * {lr_tiles})",
-        )
+        return
+    require(
+        replies == expected_replies,
+        f"lr.bit_replies {replies}: expected one per member "
+        f"({expected_replies})",
+    )
+    require(
+        bit_bytes == expected_bytes,
+        f"lr.bit_bytes_received {bit_bytes}: expected |L''| * "
+        f"ceil(n_g/64) * 8 summed over members ({expected_bytes})",
+    )
 
 
-def check_wire_counters(doc, study, tiles, degraded):
+def check_wire_counters(doc, study, selection, degraded):
     """Serialize-once accounting over the pooled send path.
 
     Every sealed protocol record is either a message's first seal
     (``wire.serializations``) or a per-peer AEAD pass over an already-staged
     body (``wire.fanout_reuses``), so the counters conserve exactly:
         serializations + fanout_reuses == records_sent
-    On a clean run the leader's announce, phase-1, per-tile phase-2, and
-    phase-3 broadcasts each reach G-1 members off one staging, which pins a
-    fan-out floor of (3 + lr_tiles) * (G - 2) reuses. A regression that
+    On a clean run the leader's announce, phase-1, phase-2 (unless L'' is
+    empty), and phase-3 broadcasts each reach G-1 members off one staging,
+    which pins a fan-out floor of (3 + [L'' non-empty]) * (G - 2) reuses.
+    A regression that
     re-serializes per recipient inflates ``wire.serializations`` and breaks
     the equality; one that re-stages per broadcast starves the floor.
     """
@@ -305,11 +303,12 @@ def check_wire_counters(doc, study, tiles, degraded):
     num_gdos = study["num_gdos"]
     if degraded or num_gdos < 3:
         return  # mid-study deaths truncate broadcasts; only conservation holds
-    floor = (3 + tiles["lr_count"]) * (num_gdos - 2)
+    broadcasts = 3 + (1 if selection["l_double_prime"] > 0 else 0)
+    floor = broadcasts * (num_gdos - 2)
     require(
         reuses >= floor,
         f"wire.fanout_reuses {reuses} below the broadcast floor {floor} "
-        f"((3 + {tiles['lr_count']} tiles) * ({num_gdos} - 2))",
+        f"({broadcasts} broadcasts * ({num_gdos} - 2))",
     )
     require(
         serializations < records,
@@ -361,8 +360,7 @@ def check_trace(trace, num_combinations, dead_gdos, tiles, pruning):
         require(len(by_name[phase]) == 1, f"{phase} recorded more than once")
 
     # The MAF phase is assessed per tile (combinations are an inner loop of
-    # each tile span); the LD and LR phases keep per-combination spans, and
-    # the LR phase additionally records the leader's per-tile derivations.
+    # each tile span); the LD and LR phases keep per-combination spans.
     # Combinations naming a dead GDO are skipped, so a degraded run may
     # trace fewer combination spans than the announced count — never more.
     # Under the intersection-aware sweep a clean run may also trace fewer:
@@ -375,15 +373,12 @@ def check_trace(trace, num_combinations, dead_gdos, tiles, pruning):
         "phase.maf", "maf.tile.", tiles["count"],
         exact=maf_repeats == 1, repeats=maf_repeats,
     )
-    if tiles["lr_count"] > 0:
-        check_children("phase.lr", "lr.tile.", tiles["lr_count"], exact=True)
     check_children(
         "phase.ld", "ld.combination.", num_combinations,
         exact=False, repeats=ld_repeats, may_be_empty=True,
     )
     check_children(
-        "phase.lr", "lr.combination.", num_combinations,
-        exact=False, may_be_empty=tiles["lr_count"] == 0,
+        "phase.lr", "lr.combination.", num_combinations, exact=False,
     )
 
 
