@@ -165,6 +165,10 @@ Result<StudyResult> run_sessions(
   std::vector<std::unique_ptr<net::Hub>> hubs = std::move(star).take();
   for (auto& hub : hubs) hub->set_buffer_pool(&run_pool);
 
+  // Session construction provisions every enclave: each transposes its
+  // slice to bit planes and the leader also the reference panel.
+  obs::ScopedSpan provision_span(obs::recorder_of(spec.obs), "step.provision",
+                                 study_span);
   LeaderSession leader(*platforms[leader_gdo], leader_gdo, spec.num_gdos,
                        cohort.cases.slice_rows(ranges[leader_gdo].first,
                                                ranges[leader_gdo].second),
@@ -192,6 +196,7 @@ Result<StudyResult> run_sessions(
       return member->provision_status().error();
     }
   }
+  provision_span.end();
 
   SessionDriver leader_driver(loop_of(leader_gdo), *hubs[leader_gdo], leader);
   std::vector<std::unique_ptr<SessionDriver>> member_drivers;

@@ -96,41 +96,33 @@ class BitPlanes {
     /// Slice of the parent's per-SNP count cache covering the tile.
     const std::uint32_t* allele_counts() const noexcept { return counts_; }
 
-    /// Sum of the tile's per-SNP counts, O(1) from the parent's popcount
-    /// prefix array.
-    std::uint64_t total_allele_count() const noexcept { return total_; }
-
    private:
     friend class BitPlanes;
     TileView(const std::uint64_t* words, const std::uint32_t* counts,
              std::size_t snp_begin, std::size_t num_snps,
-             std::size_t words_per_plane, std::uint64_t total) noexcept
+             std::size_t words_per_plane) noexcept
         : words_(words),
           counts_(counts),
           snp_begin_(snp_begin),
           num_snps_(num_snps),
-          words_per_plane_(words_per_plane),
-          total_(total) {}
+          words_per_plane_(words_per_plane) {}
 
     const std::uint64_t* words_ = nullptr;
     const std::uint32_t* counts_ = nullptr;
     std::size_t snp_begin_ = 0;
     std::size_t num_snps_ = 0;
     std::size_t words_per_plane_ = 0;
-    std::uint64_t total_ = 0;
   };
 
   TileView tile(std::size_t snp_begin, std::size_t snp_end) const noexcept {
     return TileView(plane(snp_begin), counts_.data() + snp_begin, snp_begin,
-                    snp_end - snp_begin, words_per_plane_,
-                    count_prefix_[snp_end] - count_prefix_[snp_begin]);
+                    snp_end - snp_begin, words_per_plane_);
   }
 
   /// Heap bytes of the plane words + count caches (EPC accounting).
   std::size_t storage_bytes() const noexcept {
     return words_.size() * sizeof(std::uint64_t) +
-           counts_.size() * sizeof(std::uint32_t) +
-           count_prefix_.size() * sizeof(std::uint64_t);
+           counts_.size() * sizeof(std::uint32_t);
   }
 
  private:
@@ -139,8 +131,6 @@ class BitPlanes {
   std::size_t words_per_plane_ = 0;
   std::vector<std::uint64_t> words_;  // plane-contiguous: snp * words_per_plane
   std::vector<std::uint32_t> counts_;
-  // count_prefix_[l] = sum of counts_[0..l); tile count totals in O(1).
-  std::vector<std::uint64_t> count_prefix_{0};
 };
 
 }  // namespace gendpr::genome

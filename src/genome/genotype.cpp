@@ -1,5 +1,6 @@
 #include "genome/genotype.hpp"
 
+#include <algorithm>
 #include <bit>
 
 namespace gendpr::genome {
@@ -62,6 +63,24 @@ GenotypeMatrix GenotypeMatrix::slice_rows(std::size_t begin,
   GenotypeMatrix out(end - begin, num_snps_);
   std::copy(bits_.begin() + begin * row_stride_,
             bits_.begin() + end * row_stride_, out.bits_.begin());
+  return out;
+}
+
+common::Result<GenotypeMatrix> GenotypeMatrix::stack_rows(
+    const std::vector<GenotypeMatrix>& blocks) {
+  std::size_t total = 0;
+  for (const GenotypeMatrix& block : blocks) {
+    if (block.num_snps_ != blocks.front().num_snps_) {
+      return common::make_error(common::Errc::invalid_argument,
+                                "stacked blocks differ in SNP count");
+    }
+    total += block.num_individuals_;
+  }
+  GenotypeMatrix out(total, blocks.empty() ? 0 : blocks.front().num_snps_);
+  auto next = out.bits_.begin();
+  for (const GenotypeMatrix& block : blocks) {
+    next = std::copy(block.bits_.begin(), block.bits_.end(), next);
+  }
   return out;
 }
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/error.hpp"
 
 namespace gendpr::genome {
 
@@ -43,10 +44,21 @@ class GenotypeMatrix {
   /// Selects rows [begin, end) into a new matrix (GDO partitioning).
   GenotypeMatrix slice_rows(std::size_t begin, std::size_t end) const;
 
+  /// Stacks `blocks` top to bottom into one matrix, one copy per block (the
+  /// inverse of slice_rows). Fails with invalid_argument unless every block
+  /// has the same num_snps().
+  static common::Result<GenotypeMatrix> stack_rows(
+      const std::vector<GenotypeMatrix>& blocks);
+
   /// Raw packed-row access for word-parallel consumers (BitPlanes build).
   /// Bits past num_snps() in the last byte of a row are always zero.
   std::size_t row_stride() const noexcept { return row_stride_; }
   const std::uint8_t* row_data(std::size_t individual) const noexcept {
+    return bits_.data() + individual * row_stride_;
+  }
+  /// Writable packed row (VCF-lite ingest fills rows in place). Writers must
+  /// keep the bits past num_snps() in the last byte zero.
+  std::uint8_t* mutable_row_data(std::size_t individual) noexcept {
     return bits_.data() + individual * row_stride_;
   }
 

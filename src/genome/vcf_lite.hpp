@@ -6,8 +6,8 @@
 // tampered with the genome data ... by checking the authenticity of signed
 // VCF files" (§4). This module provides (a) a self-describing text format
 // for the binary genotype matrices and (b) an HMAC-signed manifest binding
-// file content to a dataset name, which enclaves verify before admitting a
-// local dataset into a study.
+// file content to a dataset name. The manifest is a library facility: the
+// CLI's workspaces are not signed and no study verifies them.
 //
 // Format:
 //   ##gendpr-vcf-lite v1
@@ -37,12 +37,17 @@ struct VcfLite {
 std::string write_vcf_lite(const VcfLite& vcf);
 
 /// Parses the text format; rejects malformed headers, inconsistent
-/// dimensions, and non-binary genotype characters.
+/// dimensions, header counts the input is too short to hold, and
+/// non-binary genotype characters. The last genotype line may lack its
+/// '\n'; bytes after the last line are ignored.
 common::Result<VcfLite> read_vcf_lite(const std::string& text);
 
-/// Convenience file wrappers.
 common::Status write_vcf_lite_file(const std::string& path,
                                    const VcfLite& vcf);
+
+/// Reads a file with the same parser as read_vcf_lite, streaming whole
+/// genotype lines in ~1 MiB chunks into the packed rows: the file is never
+/// held in memory whole. Parse errors name the file.
 common::Result<VcfLite> read_vcf_lite_file(const std::string& path);
 
 /// Signed dataset manifest: binds a dataset name and content digest under a

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 
 #include "gendpr/report.hpp"
@@ -200,6 +201,21 @@ TEST(FederationTest, RunReportTracesEveryPhaseOncePerCombination) {
   for (const std::string phase : {"maf", "ld", "lr"}) {
     EXPECT_EQ(name_counts["phase." + phase], 1);
   }
+  // Provisioning is one span under the study, closed before any handshake.
+  ASSERT_EQ(name_counts["step.provision"], 1);
+  const obs::Span* study = nullptr;
+  const obs::Span* provision = nullptr;
+  double first_handshake = std::numeric_limits<double>::infinity();
+  for (const auto& span : spans.value()) {
+    if (span.name == "study") study = &span;
+    if (span.name == "step.provision") provision = &span;
+    if (span.name == "step.handshake") {
+      first_handshake = std::min(first_handshake, span.start_ms);
+    }
+  }
+  ASSERT_NE(study, nullptr);
+  EXPECT_EQ(provision->parent, study->id);
+  EXPECT_LE(provision->start_ms + provision->duration_ms, first_handshake);
   // The MAF phase is assessed per tile (one tile with tiling off); the LD
   // and LR phases keep one span per combination.
   EXPECT_EQ(name_counts["maf.tile.0"], 1);

@@ -26,17 +26,31 @@ GenotypeMatrix random_matrix(common::Rng& rng, std::size_t n, std::size_t l,
 /// the tail-word masking has to hold at every alignment.
 const std::size_t kPopulationSizes[] = {0, 1, 7, 63, 64, 65, 128, 200};
 
+// Every plane word against the bit-by-bit definition, at every alignment of
+// the 8x8 blocked transpose: N and L on and off multiples of 8 (and N of
+// 64). All-ones rows make a bit leaking into a tail word or a plane past L
+// show.
 TEST(BitPlanesTest, GetMatchesMatrix) {
   common::Rng rng(11);
-  for (std::size_t n : kPopulationSizes) {
-    const GenotypeMatrix m = random_matrix(rng, n, 17, 0.4);
-    const BitPlanes planes(m);
-    EXPECT_EQ(planes.num_individuals(), n);
-    EXPECT_EQ(planes.num_snps(), 17u);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t l = 0; l < 17; ++l) {
-        EXPECT_EQ(planes.get(i, l), m.get(i, l)) << "n=" << n << " i=" << i
-                                                 << " l=" << l;
+  const std::size_t kSnps[] = {1, 7, 8, 9, 15, 17, 63, 64, 65, 100};
+  for (const double density : {0.4, 1.0}) {
+    for (const std::size_t n : {0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 130, 200}) {
+      for (const std::size_t l : kSnps) {
+        const GenotypeMatrix m = random_matrix(rng, n, l, density);
+        const BitPlanes planes(m);
+        EXPECT_EQ(planes.num_individuals(), n);
+        EXPECT_EQ(planes.num_snps(), l);
+        ASSERT_EQ(planes.words_per_plane(), plane_words(n));
+        for (std::size_t snp = 0; snp < l; ++snp) {
+          std::vector<std::uint64_t> expected(plane_words(n), 0);
+          for (std::size_t i = 0; i < n; ++i) {
+            if (m.get(i, snp)) expected[i / 64] |= 1ull << (i % 64);
+          }
+          const std::vector<std::uint64_t> got(
+              planes.plane(snp), planes.plane(snp) + plane_words(n));
+          EXPECT_EQ(got, expected) << "n=" << n << " l=" << l
+                                   << " snp=" << snp;
+        }
       }
     }
   }
@@ -172,12 +186,11 @@ TEST(BitPlanesTest, EmptyAndDegenerateInputs) {
 
 TEST(BitPlanesTest, StorageMatchesPackedMatrixScale) {
   // The transpose costs about as much memory as the packed matrix itself
-  // (both are one bit per genotype, modulo tail padding + the count cache
-  // and its tile-total prefix array).
+  // (both are one bit per genotype, modulo tail padding + the count cache).
   const GenotypeMatrix m(1000, 500);
   const BitPlanes planes(m);
   EXPECT_EQ(planes.storage_bytes(),
-            500u * ((1000u + 63u) / 64u) * 8u + 500u * 4u + 501u * 8u);
+            500u * ((1000u + 63u) / 64u) * 8u + 500u * 4u);
 }
 
 }  // namespace

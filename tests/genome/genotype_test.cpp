@@ -113,6 +113,29 @@ TEST(GenotypeMatrixTest, SlicesPartitionCounts) {
   }
 }
 
+TEST(GenotypeMatrixTest, StackRowsInvertsSliceRows) {
+  common::Rng rng(9);
+  GenotypeMatrix m(23, 13);
+  for (std::size_t n = 0; n < 23; ++n) {
+    for (std::size_t l = 0; l < 13; ++l) {
+      if (rng.bernoulli(0.5)) m.set(n, l, true);
+    }
+  }
+  const auto stacked = GenotypeMatrix::stack_rows(
+      {m.slice_rows(0, 8), m.slice_rows(8, 8), m.slice_rows(8, 23)});
+  ASSERT_TRUE(stacked.ok());
+  EXPECT_EQ(stacked.value(), m);
+
+  const auto empty = GenotypeMatrix::stack_rows({});
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty.value().num_individuals(), 0u);
+
+  const auto mixed =
+      GenotypeMatrix::stack_rows({GenotypeMatrix(2, 13), GenotypeMatrix(2, 17)});
+  ASSERT_FALSE(mixed.ok());
+  EXPECT_EQ(mixed.error().code, common::Errc::invalid_argument);
+}
+
 TEST(GenotypeMatrixTest, PackedStorageIsEighth) {
   GenotypeMatrix packed(100, 800);
   UnpackedGenotypeMatrix unpacked(100, 800);

@@ -95,17 +95,14 @@ TEST(TileViewTest, ViewSlicesWordsAndCachedCounts) {
     EXPECT_EQ(view.snp_begin(), plan.begin(k));
     EXPECT_EQ(view.num_snps(), plan.width_of(k));
     EXPECT_EQ(view.words_per_plane(), planes.words_per_plane());
-    std::uint64_t total = 0;
     for (std::size_t i = 0; i < view.num_snps(); ++i) {
       const std::size_t snp = view.snp_begin() + i;
       // Word-range accessor: the view's plane is the parent's plane pointer.
       EXPECT_EQ(view.plane(i), planes.plane(snp));
       // Cached counts: the view reads the parent cache, no recount.
       EXPECT_EQ(view.allele_count(i), planes.allele_count(snp));
-      total += planes.allele_count(snp);
+      EXPECT_EQ(view.allele_counts()[i], planes.allele_count(snp));
     }
-    // Tile totals come from the popcount prefix array in O(1).
-    EXPECT_EQ(view.total_allele_count(), total);
     EXPECT_EQ(view.words(), planes.plane(view.snp_begin()));
     EXPECT_EQ(view.num_words(),
               view.num_snps() * planes.words_per_plane());
@@ -118,7 +115,12 @@ TEST(TileViewTest, FullRangeViewCoversEverything) {
   const BitPlanes::TileView view = planes.tile(0, planes.num_snps());
   std::uint64_t total = 0;
   for (std::uint32_t c : planes.allele_counts()) total += c;
-  EXPECT_EQ(view.total_allele_count(), total);
+  std::uint64_t view_total = 0;
+  for (std::size_t i = 0; i < view.num_snps(); ++i) {
+    view_total += view.allele_counts()[i];
+  }
+  EXPECT_EQ(view.num_snps(), planes.num_snps());
+  EXPECT_EQ(view_total, total);
 }
 
 }  // namespace

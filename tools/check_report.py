@@ -8,7 +8,8 @@ Files whose top-level object carries ``"schema": "gendpr.run_report.v2"``
 are validated structurally: required sections, per-phase wall times, per-link
 byte counts, per-GDO EPC peaks, the SIMD kernel backend, the tiling shape of
 the pipelined MAF phase, the exact phase-3 bit ledger, and — when a trace
-is embedded — that every analysis phase appears exactly once, carries one
+is embedded — that one ``step.provision`` span closes before the first
+``step.handshake``, that every analysis phase appears exactly once, carries one
 ``maf.tile.<k>`` span per MAF tile, and at most one combination span per
 combination in the LD/LR phases (the sweep skips combinations once the
 running intersection is empty). Google-benchmark JSON (``"benchmarks"`` array) gets a
@@ -358,6 +359,19 @@ def check_trace(trace, num_combinations, dead_gdos, tiles, pruning):
     for phase in PHASES:
         require(phase in by_name, f"trace missing {phase}")
         require(len(by_name[phase]) == 1, f"{phase} recorded more than once")
+
+    # Enclave provisioning (session construction) has its own span under
+    # the study, closed before the first channel handshake starts.
+    provision = by_name.get("step.provision", [])
+    require(len(provision) == 1,
+            f"{len(provision)} step.provision spans, expected 1")
+    require(provision[0].get("parent") == by_name["study"][0]["id"],
+            "step.provision is not a child of study")
+    require("step.handshake" in by_name, "trace missing step.handshake")
+    provision_end = provision[0]["start_ms"] + provision[0]["duration_ms"]
+    first_handshake = min(span["start_ms"] for span in by_name["step.handshake"])
+    require(provision_end <= first_handshake + 1e-6,
+            "step.provision ends after the first step.handshake starts")
 
     # The MAF phase is assessed per tile (combinations are an inner loop of
     # each tile span); the LD and LR phases keep per-combination spans.

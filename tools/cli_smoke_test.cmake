@@ -87,3 +87,35 @@ file(READ ${WORKDIR}/release_epoll.tsv tsv_epoll)
 if(NOT tsv_in_process STREQUAL tsv_epoll)
   message(FATAL_ERROR "in_process and epoll releases differ")
 endif()
+
+# A workspace whose files disagree on the SNPs is refused before the study:
+# a 100-SNP reference panel next to 120-SNP slices, and a 100-SNP slice
+# among 120-SNP files. Both exit non-zero and write no TSV.
+set(NARROW ${WORKDIR}/narrow)
+execute_process(
+  COMMAND ${CLI} gen ${NARROW} --cases 400 --controls 400 --snps 100 --gdos 3
+  RESULT_VARIABLE rc OUTPUT_QUIET)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "gendpr gen of the 100-SNP cohort failed (${rc})")
+endif()
+foreach(mixed reference.vcf gdo1.vcf)
+  set(MIXED ${WORKDIR}/mixed_${mixed})
+  file(REMOVE_RECURSE ${MIXED})
+  file(COPY ${COHORT}/ DESTINATION ${MIXED})
+  # file(COPY) skips a file whose destination has the same timestamp.
+  file(REMOVE ${MIXED}/${mixed})
+  file(COPY ${NARROW}/${mixed} DESTINATION ${MIXED})
+  execute_process(
+    COMMAND ${CLI} release ${MIXED} --gdos 3 --out ${MIXED}/release.tsv
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(rc EQUAL 0)
+    message(FATAL_ERROR "release over a 100-SNP ${mixed} among 120-SNP files "
+                        "was accepted: ${out}")
+  endif()
+  if(NOT err MATCHES "invalid_argument: .*${mixed}")
+    message(FATAL_ERROR "mixed ${mixed}: the error does not name the file: ${err}")
+  endif()
+  if(EXISTS ${MIXED}/release.tsv)
+    message(FATAL_ERROR "mixed ${mixed}: a release TSV was written")
+  endif()
+endforeach()

@@ -3,14 +3,16 @@
 // Subcommands:
 //   gendpr gen <dir> [--cases N] [--controls N] [--snps L] [--gdos G]
 //          [--seed S]
-//       Generates a synthetic cohort, splits the cases into per-GDO signed
-//       VCF-lite files under <dir> (plus the reference panel), and writes a
-//       roster manifest. Creates <dir> and any missing parents.
+//       Generates a synthetic cohort and writes its cases split equally
+//       into per-GDO VCF-lite files (gdo<g>.vcf) and its controls as the
+//       reference panel (reference.vcf) under <dir>. Creates <dir> and any
+//       missing parents.
 //   gendpr assess <dir> [--gdos G] [--f F | --conservative] [--maf C]
 //          [--ld C] [--fpr R] [--power P] [--seed S] [--tile-width W]
 //          [--epc-mb M]
-//       Loads the cohort from <dir>, verifies dataset signatures, runs the
-//       federated assessment, and prints the per-phase outcome.
+//       Reads the per-GDO files and the reference panel from <dir>, checks
+//       that they agree on the SNP ids, runs the federated assessment, and
+//       prints the per-phase outcome. The files are not signed or verified.
 //   gendpr release <dir> [--out FILE] [--dp-epsilon E] [assess flags]
 //       Runs the assessment and writes the released GWAS statistics (TSV);
 //       with --dp-epsilon also publishes the withheld complement under DP
@@ -139,10 +141,6 @@ std::string reference_path(const std::string& dir) {
   return dir + "/reference.vcf";
 }
 
-common::Bytes roster_key() {
-  return common::to_bytes("gendpr-cli-roster-key-v1");
-}
-
 int cmd_gen(const Args& args) {
   std::error_code ec;
   std::filesystem::create_directories(args.dir, ec);
@@ -176,13 +174,8 @@ int cmd_gen(const Args& args) {
       std::fprintf(stderr, "%s\n", s.error().to_string().c_str());
       return 1;
     }
-    const genome::DatasetManifest manifest = genome::sign_dataset(
-        "gdo" + std::to_string(g), genome::write_vcf_lite(vcf), roster_key());
-    std::printf("  wrote %s (%zu genomes, digest %s...)\n", path.c_str(),
-                vcf.genotypes.num_individuals(),
-                common::to_hex(common::BytesView(
-                                   manifest.content_digest.data(), 6))
-                    .c_str());
+    std::printf("  wrote %s (%zu genomes)\n", path.c_str(),
+                vcf.genotypes.num_individuals());
   }
   genome::VcfLite reference;
   reference.snp_ids = ids;
@@ -197,30 +190,43 @@ int cmd_gen(const Args& args) {
   return 0;
 }
 
+// Reads one workspace file. The first file read sets the SNP ids (and
+// `ids_from`); every later one must carry the same ids.
+common::Result<genome::GenotypeMatrix> read_workspace_file(
+    const std::string& path, std::vector<std::string>& ids,
+    std::string& ids_from) {
+  auto vcf = genome::read_vcf_lite_file(path);
+  if (!vcf.ok()) return vcf.error();
+  if (ids_from.empty()) {
+    ids = std::move(vcf.value().snp_ids);
+    ids_from = path;
+  } else if (vcf.value().snp_ids != ids) {
+    return common::make_error(
+        common::Errc::invalid_argument,
+        path + " has " + std::to_string(vcf.value().snp_ids.size()) +
+            " SNPs whose ids differ from the " + std::to_string(ids.size()) +
+            " of " + ids_from);
+  }
+  return std::move(vcf.value().genotypes);
+}
+
 common::Result<genome::Cohort> load_cohort(const Args& args) {
-  genome::Cohort cohort;
+  std::vector<std::string> ids;
+  std::string ids_from;
   std::vector<genome::GenotypeMatrix> slices;
-  std::size_t total = 0;
-  std::size_t snps = 0;
   for (std::uint32_t g = 0; g < args.gdos; ++g) {
-    auto vcf = genome::read_vcf_lite_file(slice_path(args.dir, g));
-    if (!vcf.ok()) return vcf.error();
-    total += vcf.value().genotypes.num_individuals();
-    snps = vcf.value().genotypes.num_snps();
-    slices.push_back(vcf.value().genotypes);
+    auto slice = read_workspace_file(slice_path(args.dir, g), ids, ids_from);
+    if (!slice.ok()) return slice.error();
+    slices.push_back(std::move(slice).take());
   }
-  cohort.cases = genome::GenotypeMatrix(total, snps);
-  std::size_t row = 0;
-  for (const auto& slice : slices) {
-    for (std::size_t n = 0; n < slice.num_individuals(); ++n, ++row) {
-      for (std::size_t l = 0; l < snps; ++l) {
-        cohort.cases.set(row, l, slice.get(n, l));
-      }
-    }
-  }
-  auto reference = genome::read_vcf_lite_file(reference_path(args.dir));
+  auto reference =
+      read_workspace_file(reference_path(args.dir), ids, ids_from);
   if (!reference.ok()) return reference.error();
-  cohort.controls = reference.value().genotypes;
+  auto cases = genome::GenotypeMatrix::stack_rows(slices);
+  if (!cases.ok()) return cases.error();
+  genome::Cohort cohort;
+  cohort.cases = std::move(cases).take();
+  cohort.controls = std::move(reference).take();
   return cohort;
 }
 
